@@ -14,9 +14,8 @@ Four solvers feed the limit models:
 * solve_darcy_cell / solve_scalar_cell_3d: periodic torus problems with an
   optional interior obstacle, giving the effective permeability K_hat and
   effective diffusivity D_hat of the porous matrix.
-* solve_scalar_cell_2d: the surface diffusion cell on the fissure mid-plane
-  (periodic by default; the literal Neumann reading is kept as a mode and is
-  flagged degenerate because its corrector cancels the forcing exactly).
+* solve_scalar_cell_2d: the periodic surface diffusion cell on the fissure
+  mid-plane.
 
 Discretization: cell-centered finite volumes with two-point fluxes and
 harmonic face coefficients on the torus problems; vertex-centered five-point
@@ -27,14 +26,13 @@ and cross-checked against the flux-average form internally.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._numerics import fsum, gauss_legendre, solve_sparse, solve_spd
+from ._numerics import (coo_square, fsum, gauss_legendre, solve_sparse,
+                        solve_spd, two_point)
 from .stochastic import ErgodicStats
 
 
@@ -95,25 +93,23 @@ class CellMesh:
         return float(np.count_nonzero(self.fluid)) / self.fluid.size
 
     def _check_connected(self):
+        """Raise unless the fluid cells form one component of the periodic
+        face graph."""
+        # imported here: only meshes with an obstacle need it, and the
+        # pipeline's meshes have none
+        from scipy.sparse.csgraph import connected_components
         fluid = self.fluid
-        shape = fluid.shape
-        start = np.argwhere(fluid)
-        if len(start) == 0:
-            raise ValueError("no fluid cells")
-        seen = np.zeros_like(fluid)
-        q = deque([tuple(start[0])])
-        seen[tuple(start[0])] = True
-        while q:
-            c = q.popleft()
-            for d in range(self.dim):
-                for step in (-1, 1):
-                    nb = list(c)
-                    nb[d] = (nb[d] + step) % shape[d]
-                    nb = tuple(nb)
-                    if fluid[nb] and not seen[nb]:
-                        seen[nb] = True
-                        q.append(nb)
-        if not np.array_equal(seen, fluid):
+        idx = np.arange(fluid.size).reshape(fluid.shape)
+        lo, hi = [], []
+        for d in range(self.dim):
+            both = fluid & np.roll(fluid, -1, axis=d)
+            lo.append(idx[both])
+            hi.append(np.roll(idx, -1, axis=d)[both])
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        graph = sp.coo_matrix((np.ones(lo.size), (lo, hi)),
+                              shape=(fluid.size, fluid.size))
+        _, labels = connected_components(graph, directed=False)
+        if np.unique(labels[fluid.ravel()]).size > 1:
             raise ValueError("fluid region is disconnected")
 
 
@@ -197,16 +193,9 @@ def _solve_periodic_cell(mesh: CellMesh, cond) -> PeriodicCellSolution:
                             2.0 * kA * kB / (kA + kB + 1e-300), 0.0)
         tau = harm * h ** (d - 2)
         taus.append(tau)
-        nb = np.roll(idx, -1, axis=ax)
-        c = idx.ravel()
-        nbr = nb.ravel()
-        t = tau.ravel()
-        rows += [c, c, nbr, nbr]
-        cols += [c, nbr, nbr, c]
-        vals += [t, -t, t, -t]
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsr()
+        two_point(rows, cols, vals, idx.ravel(),
+                  np.roll(idx, -1, axis=ax).ravel(), tau.ravel())
+    A = coo_square(rows, cols, vals, N).tocsr()
 
     fluid_flat = mesh.fluid.ravel()
     free = np.flatnonzero(fluid_flat)
@@ -301,83 +290,16 @@ def solve_scalar_cell_3d(mesh: CellMesh, diffusivity: float = 1.0
     return sol
 
 
-@dataclass
-class SurfaceDiffusionCell:
-    tensor: np.ndarray
-    degenerate: bool
-    mode: str
-    correctors: list[np.ndarray]
-    mesh: CellMesh = field(repr=False)
+def solve_scalar_cell_2d(mesh: CellMesh, diffusivity=1.0
+                         ) -> PeriodicCellSolution:
+    """Surface diffusion cell on the fissure mid-plane, posed on the torus.
 
-
-def solve_scalar_cell_2d(mesh: CellMesh, diffusivity=1.0,
-                         mode: str = "periodic") -> SurfaceDiffusionCell:
-    """Surface diffusion cell on the fissure mid-plane.
-
-    mode "periodic": torus cell problem; constant diffusivity gives
-    exactly diffusivity * I, a variable field gives the usual homogenized
-    surface tensor.  mode "literal_neumann": the corrector solves the pure
-    Neumann problem with boundary flux canceling the forcing; its flux
-    average vanishes identically, so the tensor is zero and the result is
-    flagged degenerate (kept for comparison, never used by the pipeline).
+    Constant diffusivity gives exactly diffusivity * I; a variable field
+    gives the usual homogenized surface tensor.
     """
     if mesh.dim != 2:
         raise ValueError("surface diffusion cell is two-dimensional")
-    if mode == "periodic":
-        sol = _solve_periodic_cell(mesh, diffusivity)
-        return SurfaceDiffusionCell(tensor=sol.tensor, degenerate=False,
-                                    mode=mode, correctors=sol.correctors,
-                                    mesh=mesh)
-    if mode != "literal_neumann":
-        raise ValueError("mode must be 'periodic' or 'literal_neumann'")
-    if not np.isscalar(diffusivity):
-        raise ValueError("literal_neumann mode supports constant diffusivity only")
-
-    n, h = mesh.n, mesh.h
-    N = n * n
-    D = float(diffusivity)
-    idx = np.arange(N).reshape(n, n)
-    rows, cols, vals = [], [], []
-    taus = []
-    for ax in range(2):
-        # interior faces only: drop the wrap layer
-        mask = np.ones((n, n), dtype=bool)
-        np.moveaxis(mask, ax, 0)[-1] = False
-        tau = np.where(mask, D, 0.0)
-        taus.append(tau)
-        c = idx.ravel()
-        nbr = np.roll(idx, -1, axis=ax).ravel()
-        t = tau.ravel()
-        rows += [c, c, nbr, nbr]
-        cols += [c, nbr, nbr, c]
-        vals += [t, -t, t, -t]
-    A = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N)).tocsr()
-    correctors = []
-    tensor = np.zeros((2, 2))
-    for kdir in range(2):
-        # boundary condition: normal corrector flux cancels the forcing flux,
-        # so the inflow at the low face is +D*h per cell, -D*h at the high face
-        b = np.zeros((n, n))
-        lead = np.moveaxis(b, kdir, 0)
-        lead[0] = D * h
-        lead[-1] = -D * h
-        bb = b.ravel()
-        keep = np.arange(1, N)
-        x = np.zeros(N)
-        x[keep] = solve_sparse(A[keep][:, keep].tocsc(), bb[keep])
-        c_field = x.reshape(n, n)
-        c_field = c_field - c_field.mean()
-        correctors.append(c_field)
-        for ax in range(2):
-            dpi = np.roll(c_field, -1, axis=ax) - c_field
-            u = dpi + (h if ax == kdir else 0.0)
-            tensor[ax, kdir] = fsum(taus[ax] * u) * h
-        # boundary faces carry zero total flux by the boundary condition
-    degenerate = bool(np.max(np.abs(tensor)) < 1e-8 * D)
-    return SurfaceDiffusionCell(tensor=tensor, degenerate=degenerate,
-                                mode=mode, correctors=correctors, mesh=mesh)
+    return _solve_periodic_cell(mesh, diffusivity)
 
 
 @dataclass
@@ -419,7 +341,7 @@ def solve_poisson_cell(n: int = 256) -> TorsionCell:
     A = sp.diags([main, -ex, -ex, -ey, -ey], [0, 1, -1, m, -m],
                  format="csc") / h**2
     b = np.ones(N)
-    u = solve_sparse(A, b)
+    u, _ = solve_sparse(A, b)
     profile = np.zeros((n + 1, n + 1))
     profile[1:-1, 1:-1] = u.reshape(m, m)
     k0_int = h * h * fsum(u)
@@ -438,8 +360,8 @@ def solve_poisson_cell(n: int = 256) -> TorsionCell:
 class DragCell:
     """Tangential drag correctors on the cross-section.
 
-    correctors[k] is the vector field eta_k; with the in-plane constraint
-    dropped (see module docstring) eta_k = profile * e_k, the drag tensor is
+    With the in-plane constraint dropped (see module docstring) the
+    corrector eta_k is profile * e_k, the drag tensor is
     k0 * I, and div_proxy records the size of the in-plane divergence those
     correctors would have, reported as a diagnostic of the reduction.
     """
@@ -463,14 +385,6 @@ def solve_stokes_cell(n: int = 256, torsion: TorsionCell | None = None
     h = 1.0 / cell.n
     dmax = float(np.max(np.abs(np.diff(cell.profile, axis=0)))) / h
     return DragCell(K_f=K_f, gram=gram, torsion=cell, div_proxy=dmax)
-
-
-def corrector_vector_fields(drag: DragCell) -> list[np.ndarray]:
-    """eta_k as explicit two-component vertex fields (used by the energy
-    recovery check)."""
-    p = drag.torsion.profile
-    z = np.zeros_like(p)
-    return [np.stack([p, z], axis=-1), np.stack([z, p], axis=-1)]
 
 
 def compute_kstar(stats: ErgodicStats, permeability=1.0, order: int = 12

@@ -4,9 +4,9 @@ Stages: cell (effective tensors and the tube drag constant), flow (coupled
 two-bed filtration), transport (coupled contaminant exchange), fissure
 (resolved single-tube profile and census), ergodic (bracket estimates over
 growing horizons), sweep (convergence ladders).  Every stage writes
-deterministic files; serial reruns with the same config are byte-identical
+deterministic files; reruns with the same config are byte-identical
 except for the manifest timestamp.  Exit codes: 0 success, 2 config error,
-3 solver failure, 4 acceptance-check failure.
+3 solver failure or crash, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -194,7 +195,7 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         raise CheckFailure(f"obstacle-free diffusion cell deviates from the "
                            f"identity by {scalar_gap:.3e}")
     mesh2 = CellMesh(n=cfg.cell_surface_resolution, dim=2)
-    surface = solve_scalar_cell_2d(mesh2, mode="periodic")
+    surface = solve_scalar_cell_2d(mesh2)
     stats = ctx.stats
     report = {
         "resolution": cfg.cell_resolution,
@@ -447,8 +448,13 @@ def _ordered_stages(subcommand: str) -> list[str]:
 
 
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
-        serial: bool = False, stream=None) -> int:
-    """Execute one subcommand; returns the process exit code."""
+        stream=None) -> int:
+    """Execute one subcommand; returns the process exit code.
+
+    A stage that raises anything other than a gate failure or a solver
+    error is recorded as `crashed`; the manifest is still written and the
+    stage's dependents are skipped.
+    """
     if stream is None:
         stream = sys.stdout
     if subcommand != "all" and subcommand not in STAGES:
@@ -476,6 +482,11 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
                 np.linalg.LinAlgError) as exc:
             files, status, detail = [], "solver_error", str(exc)
             failed.add(stage)
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            files, status = [], "crashed"
+            detail = f"{type(exc).__name__}: {exc}"
+            failed.add(stage)
         dt = time.perf_counter() - t0
         steps.append({"name": stage, "status": status, "detail": detail,
                       "seconds": round(dt, 3), "outputs": files})
@@ -489,14 +500,13 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         "package_version": __version__,
         "created_unix": int(time.time()),
         "subcommand": subcommand,
-        "serial": serial,
         "steps": steps,
         "files": {name: _sha256(os.path.join(outdir, name))
                   for name in sorted(all_files)},
     }
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
     statuses = {s["status"] for s in steps}
-    if "solver_error" in statuses:
+    if statuses & {"solver_error", "crashed"}:
         return 3
     if "check_failed" in statuses:
         return 4
@@ -518,9 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override run.output_dir")
     common.add_argument("--resolution", metavar="N", type=int, default=None,
                         help="override cell.resolution")
-    common.add_argument("--serial", action="store_true",
-                        help="force serial execution (recorded in the "
-                             "manifest; runs are serial either way)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     descriptions = {
         "cell": "effective tensors and the tube drag constant",
@@ -551,7 +558,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, args.subcommand, out_dir=args.out, serial=args.serial)
+    return run(cfg, args.subcommand, out_dir=args.out)
 
 
 if __name__ == "__main__":  # pragma: no cover

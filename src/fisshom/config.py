@@ -283,9 +283,9 @@ def parse_config(path: str | None = None, text: str | None = None,
     flow_sec = _section(data, "flow",
                         ("k_plus", "k_minus", "mu_plus_viscosity",
                          "mu_minus_viscosity", "mu_fissure_viscosity",
-                         "slip_gamma", "depth_plus_length",
-                         "depth_minus_length", "shape", "gravity_plus",
-                         "gravity_minus", "bc_kind", "p_top", "p_bottom"))
+                         "depth_plus_length", "depth_minus_length", "shape",
+                         "gravity_plus", "gravity_minus", "bc_kind", "p_top",
+                         "p_bottom"))
     flow = {
         "k_plus": list(_numbers("flow.k_plus",
                                 flow_sec.get("k_plus", [1.3, 1.3, 0.9]),
@@ -302,8 +302,6 @@ def parse_config(path: str | None = None, text: str | None = None,
         "mu_fissure_viscosity": _number(
             "flow.mu_fissure_viscosity",
             flow_sec.get("mu_fissure_viscosity", 0.02), lo=0.0, open_lo=True),
-        "slip_gamma": _number("flow.slip_gamma",
-                              flow_sec.get("slip_gamma", 0.05), lo=0.0),
         "depth_plus_length": _number(
             "flow.depth_plus_length", flow_sec.get("depth_plus_length", 1.0),
             lo=0.0, open_lo=True),

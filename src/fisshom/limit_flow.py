@@ -9,8 +9,8 @@ the layer is
     lam = k0 / (mu_fissure * height * <1/q^2>),
 
 positive downward, where k0 is the unit-cell torsion constant and <1/q^2> the
-reciprocal aperture-product average.  The per-tube mean velocity reported by
-`interface_velocity` is V / <q^2>.
+reciprocal aperture-product average.  The per-tube mean velocity
+(`fissure_transport.vertical_velocity`) is V / <q^2>.
 
 Discretization: cell-centered finite volumes with two-point fluxes on a
 tensor grid per bed.  The interface condition is eliminated column by column:
@@ -28,30 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from ._numerics import solve_sparse, sym_inv_sqrt
+from ._numerics import (axis_neighbours, coo_square, on_grid, pin_rows,
+                        positive_diagonal, solve_sparse, sym_inv_sqrt,
+                        two_point)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
-
-
-def _diag3(value, label: str) -> np.ndarray:
-    """Coerce scalar / length-3 / (3, 3) input to a positive diagonal."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        diag = np.full(3, float(arr))
-    elif arr.shape == (3,):
-        diag = arr.copy()
-    elif arr.shape == (3, 3):
-        off = arr - np.diag(np.diag(arr))
-        if np.max(np.abs(off)) > 1e-10 * (np.max(np.abs(arr)) + 1e-300):
-            raise ValueError(f"{label} must be diagonal for two-point fluxes")
-        diag = np.diag(arr).copy()
-    else:
-        raise ValueError(f"{label} must be a scalar, length-3, or 3x3")
-    if np.any(diag <= 0):
-        raise ValueError(f"{label} must be positive definite")
-    return diag
 
 
 @dataclass(frozen=True)
@@ -83,8 +65,10 @@ class FlowConfig:
         if min(n1, n2) < 2 or min(nzp, nzm) < 3:
             raise ValueError("need at least 2 horizontal and 3 vertical "
                              "cells per bed")
-        object.__setattr__(self, "k_plus", _diag3(self.k_plus, "k_plus"))
-        object.__setattr__(self, "k_minus", _diag3(self.k_minus, "k_minus"))
+        object.__setattr__(self, "k_plus",
+                           positive_diagonal(self.k_plus, 3, "k_plus"))
+        object.__setattr__(self, "k_minus",
+                           positive_diagonal(self.k_minus, 3, "k_minus"))
 
     @property
     def coupling(self) -> float:
@@ -135,12 +119,6 @@ class FlowBC:
             raise ValueError("dirichlet bc needs p_plus and p_minus callables")
 
 
-def _eval_on(fn, *grids):
-    if callable(fn):
-        return np.asarray(fn(*np.meshgrid(*grids, indexing="ij")), dtype=float)
-    return np.full(tuple(len(g) for g in grids), float(fn))
-
-
 class _Bed:
     """Assembly bookkeeping for one bed on a (n1, n2, nz) tensor grid with
     k increasing upward."""
@@ -168,10 +146,6 @@ class _Bed:
     def face_area(self, axis: int) -> float:
         return self.vol / self.deltas[axis]
 
-    def interface_k(self) -> int:
-        """Vertical index of the cell touching the fissure layer."""
-        return 0 if self.side == "plus" else self.shape[2] - 1
-
 
 def _assemble_bed(bed: _Bed, bc: FlowBC, rows, cols, vals, b):
     """Interior two-point fluxes, outer boundary terms, and gravity."""
@@ -180,16 +154,7 @@ def _assemble_bed(bed: _Bed, bc: FlowBC, rows, cols, vals, b):
     idx = bed.index
     for axis in range(3):
         tau = kap[axis] * bed.face_area(axis) / bed.deltas[axis]
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        L = idx[tuple(sl_lo)].ravel()
-        R = idx[tuple(sl_hi)].ravel()
-        t = np.full(L.size, tau)
-        rows.extend((L, R, L, R))
-        cols.extend((L, R, R, L))
-        vals.extend((t, t, -t, -t))
+        two_point(rows, cols, vals, *axis_neighbours(idx, axis), tau)
     # gravity on interior vertical faces telescopes to the column ends
     if bed.gravity != 0.0:
         fg = kap[2] * bed.gravity * bed.face_area(2)
@@ -212,35 +177,35 @@ def _assemble_bed(bed: _Bed, bc: FlowBC, rows, cols, vals, b):
     bottom_face_x3 = bed.x3c[0] - 0.5 * bed.d3
     if bc.kind == "pressure_ends":
         if bed.side == "plus":
-            data = _eval_on(bc.p_top, bed.x1c, bed.x2c)
+            data = on_grid(bc.p_top, bed.x1c, bed.x2c)
             dirichlet_face(idx[:, :, -1].ravel(), 2, +1.0, data)
         else:
-            data = _eval_on(bc.p_bottom, bed.x1c, bed.x2c)
+            data = on_grid(bc.p_bottom, bed.x1c, bed.x2c)
             dirichlet_face(idx[:, :, 0].ravel(), 2, -1.0, data)
     elif bc.kind == "dirichlet":
         p_bc = bc.p_plus if bed.side == "plus" else bc.p_minus
         if bed.side == "plus":
             dirichlet_face(idx[:, :, -1].ravel(), 2, +1.0,
-                           _eval_on(p_bc, bed.x1c, bed.x2c,
-                                    np.array([top_face_x3]))[:, :, 0])
+                           on_grid(p_bc, bed.x1c, bed.x2c,
+                                   np.array([top_face_x3]))[:, :, 0])
         else:
             dirichlet_face(idx[:, :, 0].ravel(), 2, -1.0,
-                           _eval_on(p_bc, bed.x1c, bed.x2c,
-                                    np.array([bottom_face_x3]))[:, :, 0])
+                           on_grid(p_bc, bed.x1c, bed.x2c,
+                                   np.array([bottom_face_x3]))[:, :, 0])
         lo1, hi1 = bed.x1c[0] - 0.5 * bed.d1, bed.x1c[-1] + 0.5 * bed.d1
         lo2, hi2 = bed.x2c[0] - 0.5 * bed.d2, bed.x2c[-1] + 0.5 * bed.d2
         dirichlet_face(idx[0, :, :].ravel(), 0, -1.0,
-                       _eval_on(p_bc, np.array([lo1]), bed.x2c,
-                                bed.x3c)[0])
+                       on_grid(p_bc, np.array([lo1]), bed.x2c,
+                               bed.x3c)[0])
         dirichlet_face(idx[-1, :, :].ravel(), 0, +1.0,
-                       _eval_on(p_bc, np.array([hi1]), bed.x2c,
-                                bed.x3c)[0])
+                       on_grid(p_bc, np.array([hi1]), bed.x2c,
+                               bed.x3c)[0])
         dirichlet_face(idx[:, 0, :].ravel(), 1, -1.0,
-                       _eval_on(p_bc, bed.x1c, np.array([lo2]),
-                                bed.x3c)[:, 0, :])
+                       on_grid(p_bc, bed.x1c, np.array([lo2]),
+                               bed.x3c)[:, 0, :])
         dirichlet_face(idx[:, -1, :].ravel(), 1, +1.0,
-                       _eval_on(p_bc, bed.x1c, np.array([hi2]),
-                                bed.x3c)[:, 0, :])
+                       on_grid(p_bc, bed.x1c, np.array([hi2]),
+                               bed.x3c)[:, 0, :])
 
 
 @dataclass
@@ -334,9 +299,7 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
     for bed, src in ((bedp, source_plus), (bedm, source_minus)):
         _assemble_bed(bed, bc, rows, cols, vals, b)
         if src is not None:
-            X1, X2, X3 = np.meshgrid(bed.x1c, bed.x2c, bed.x3c,
-                                     indexing="ij")
-            b[bed.index.ravel()] += (np.asarray(src(X1, X2, X3), dtype=float)
+            b[bed.index.ravel()] += (on_grid(src, bed.x1c, bed.x2c, bed.x3c)
                                      .ravel() * bed.vol)
 
     # interface transmission: V = c1 r1 + c2 r2 per horizontal column
@@ -362,27 +325,17 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
             vals.append(np.full(target.size, sign * coef))
         np.add.at(b, target, -sign * area * (c1 * g_p + c2 * g_m))
 
-    rows_a = np.concatenate(rows)
-    cols_a = np.concatenate(cols)
-    vals_a = np.concatenate(vals)
-    A = sparse.coo_matrix((vals_a, (rows_a, cols_a)),
-                          shape=(n_tot, n_tot)).tocsc()
+    coo = coo_square(rows, cols, vals, n_tot)
+    A = coo.tocsc()
 
     if bc.kind == "closed":
-        scale = float(np.max(np.abs(b)) + np.max(np.abs(vals_a)))
+        scale = float(np.max(np.abs(b)) + np.max(np.abs(coo.data)))
         if abs(b.sum()) > 1e-10 * (scale + 1.0):
             raise ValueError("net source must vanish for closed boundaries")
-        A = A.tolil()
-        A[0, :] = 0.0
-        A[0, 0] = 1.0
-        b = b.copy()
-        b[0] = 0.0
-        A = A.tocsc()
-    p = solve_sparse(A, b)
-    residual = float(np.max(np.abs(A @ p - b))
-                     / (np.max(np.abs(b)) + np.max(np.abs(p)) + 1.0))
-    if residual > 1e-9:
-        raise RuntimeError(f"flow solve residual {residual:.2e} too large")
+        gauge = np.zeros(n_tot, dtype=bool)
+        gauge[0] = True
+        A, b = pin_rows(A, b, gauge, 0.0)
+    p, residual = solve_sparse(A, b)
     p_plus = p[:bedp.n_cells].reshape(bedp.shape)
     p_minus = p[bedp.n_cells:].reshape(bedm.shape)
     if bc.kind == "closed":
@@ -395,24 +348,14 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
     trace_plus = Minv[0, 0] * r1 + Minv[0, 1] * r2
     trace_minus = Minv[1, 0] * r1 + Minv[1, 1] * r2
     V = lam * (trace_plus - trace_minus)
-    tube = interface_velocity(trace_plus, trace_minus, cfg.k0,
-                              cfg.mu_fissure, cfg.height,
-                              cfg.stats.mean_q2, cfg.stats.mean_inv_q2)
+    tube = vertical_velocity(trace_plus, trace_minus, cfg.k0,
+                             cfg.mu_fissure, cfg.height,
+                             cfg.stats.mean_q2, cfg.stats.mean_inv_q2)
     return LimitFlowSolution(
         config=cfg, bc=bc, p_plus=p_plus, p_minus=p_minus,
         trace_plus=trace_plus, trace_minus=trace_minus,
         interface_flux=V, tube_velocity=tube,
         mean_p_minus=float(p_minus.mean()), residual=residual)
-
-
-def interface_velocity(p_plus_trace, p_minus_trace, k0: float,
-                       mu_fissure: float, height: float, mean_q2: float,
-                       mean_inv_q2: float):
-    """Mean vertical velocity inside the fissure tubes driven by the trace
-    jump, positive downward; the superficial interface flux is this value
-    times the aperture-product average."""
-    return vertical_velocity(p_plus_trace, p_minus_trace, k0, mu_fissure,
-                             height, mean_q2, mean_inv_q2)
 
 
 # ----------------------------------------------------------------------
@@ -516,32 +459,18 @@ def solve_tangential_darcy(cfg: TangentialConfig, forcing
     cols: list = []
     vals: list = []
     b = np.zeros(n1 * n2)
-    tau1 = d2 / (r1 * d1)
-    L = idx[:-1, :].ravel()
-    R = idx[1:, :].ravel()
-    t = np.full(L.size, tau1)
-    rows.extend((L, R, L, R))
-    cols.extend((L, R, R, L))
-    vals.extend((t, t, -t, -t))
-    np.add.at(b, L, -d2 * f_u.ravel() / r1)
-    np.add.at(b, R, +d2 * f_u.ravel() / r1)
-    tau2 = d1 / (r2 * d2)
-    Lo = idx[:, :-1].ravel()
-    Hi = idx[:, 1:].ravel()
-    t2 = np.full(Lo.size, tau2)
-    rows.extend((Lo, Hi, Lo, Hi))
-    cols.extend((Lo, Hi, Hi, Lo))
-    vals.extend((t2, t2, -t2, -t2))
-    np.add.at(b, Lo, -d1 * f_v.ravel() / r2)
-    np.add.at(b, Hi, +d1 * f_v.ravel() / r2)
+    for axis, (tau, f, width, r) in enumerate(
+            ((d2 / (r1 * d1), f_u, d2, r1), (d1 / (r2 * d2), f_v, d1, r2))):
+        lo, hi = axis_neighbours(idx, axis)
+        two_point(rows, cols, vals, lo, hi, tau)
+        np.add.at(b, lo, -width * f.ravel() / r)
+        np.add.at(b, hi, +width * f.ravel() / r)
 
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n1 * n2, n1 * n2)).tolil()
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    b[0] = 0.0
-    pi = solve_sparse(A.tocsc(), b)
+    gauge = np.zeros(n1 * n2, dtype=bool)
+    gauge[0] = True
+    A, b = pin_rows(coo_square(rows, cols, vals, n1 * n2).tocsr(), b, gauge,
+                    0.0)
+    pi, _ = solve_sparse(A, b)
     pi = pi.reshape(n1, n2)
     pi = pi - pi.mean()
 

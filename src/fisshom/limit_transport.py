@@ -31,29 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from ._numerics import solve_sparse
+from ._numerics import (axis_neighbours, coo_square, on_grid, pin_rows,
+                        positive_diagonal, solve_sparse, two_point, upwind)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
-
-
-def _diag(value, n: int, label: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        diag = np.full(n, float(arr))
-    elif arr.shape == (n,):
-        diag = arr.copy()
-    elif arr.shape == (n, n):
-        off = arr - np.diag(np.diag(arr))
-        if np.max(np.abs(off)) > 1e-10 * (np.max(np.abs(arr)) + 1e-300):
-            raise ValueError(f"{label} must be diagonal")
-        diag = np.diag(arr).copy()
-    else:
-        raise ValueError(f"{label} has wrong shape")
-    if np.any(diag <= 0):
-        raise ValueError(f"{label} must be positive definite")
-    return diag
 
 
 @dataclass(frozen=True)
@@ -96,13 +78,15 @@ class TransportConfig:
         if min(n1, n2) < 2 or min(nzp, nzm) < 2:
             raise ValueError("need at least 2 cells per direction")
         object.__setattr__(self, "diff_plus",
-                           _diag(self.diff_plus, 3, "diff_plus"))
+                           positive_diagonal(self.diff_plus, 3, "diff_plus"))
         object.__setattr__(self, "diff_minus",
-                           _diag(self.diff_minus, 3, "diff_minus"))
+                           positive_diagonal(self.diff_minus, 3,
+                                             "diff_minus"))
         if self.surface_diffusion is not None:
             object.__setattr__(
                 self, "surface_diffusion",
-                _diag(self.surface_diffusion, 2, "surface_diffusion"))
+                positive_diagonal(self.surface_diffusion, 2,
+                                  "surface_diffusion"))
 
     @property
     def surface_scale(self) -> float:
@@ -129,13 +113,6 @@ def _cv_weights(axis_coords: np.ndarray) -> np.ndarray:
     w[-1] = 0.5 * d[-1]
     w[1:-1] = 0.5 * (d[:-1] + d[1:])
     return w
-
-
-def _eval_field(fn, *grids):
-    if callable(fn):
-        return np.asarray(fn(*np.meshgrid(*grids, indexing="ij")),
-                          dtype=float)
-    return np.full(tuple(len(g) for g in grids), float(fn))
 
 
 class _BedMesh:
@@ -194,24 +171,13 @@ def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
             area = area * weights[a].reshape(
                 [mesh.shape[a] if q == a else 1 for q in range(3)])
         d_face = d.reshape([d.size if q == axis else 1 for q in range(3)])
-        tau = (mesh.diff[axis] * area / d_face).ravel()
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        L = idx[tuple(sl_lo)].ravel()
-        R = idx[tuple(sl_hi)].ravel()
-        rows.extend((L, R, L, R))
-        cols.extend((L, R, R, L))
-        vals.extend((tau, tau, -tau, -tau))
+        L, R = axis_neighbours(idx, axis)
+        two_point(rows, cols, vals, L, R,
+                  (mesh.diff[axis] * area / d_face).ravel())
         if mesh.velocity is not None:
             G = np.meshgrid(*_face_grids(mesh, axis), indexing="ij")
             vcomp = np.asarray(mesh.velocity(*G)[axis], dtype=float)
-            flux_pos = (np.maximum(vcomp, 0.0) * area).ravel()
-            flux_neg = (np.minimum(vcomp, 0.0) * area).ravel()
-            rows.extend((L, L, R, R))
-            cols.extend((L, R, L, R))
-            vals.extend((flux_pos, flux_neg, -flux_pos, -flux_neg))
+            upwind(rows, cols, vals, L, R, (vcomp * area).ravel())
     vol = mesh.volumes().ravel()
     if mesh.reaction != 0.0:
         cells = idx.ravel()
@@ -220,7 +186,7 @@ def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
         vals.append(mesh.reaction * vol)
     src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
     if src is not None:
-        s = _eval_field(src, mesh.x1, mesh.x2, mesh.x3)
+        s = on_grid(src, mesh.x1, mesh.x2, mesh.x3)
         factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
         np.add.at(b, idx.ravel(), factor * s.ravel() * vol)
 
@@ -255,43 +221,30 @@ def _assemble_surface(cfg: TransportConfig, meshp: _BedMesh,
             if axis == 0:
                 length = wgt[None, :] * np.ones((d.size, 1))
                 d_face = d[:, None]
-                L = plane_p[:-1, :].ravel()
-                R = plane_p[1:, :].ravel()
             else:
                 length = wgt[:, None] * np.ones((1, d.size))
                 d_face = d[None, :]
-                L = plane_p[:, :-1].ravel()
-                R = plane_p[:, 1:].ravel()
-            tau = (scale * ds[axis] * length / d_face).ravel()
-            rows.extend((L, R, L, R))
-            cols.extend((L, R, R, L))
-            vals.extend((tau, tau, -tau, -tau))
+            two_point(rows, cols, vals, *axis_neighbours(plane_p, axis),
+                      (scale * ds[axis] * length / d_face).ravel())
     if cfg.surface_velocity is not None:
         for axis in range(2):
             if axis == 0:
                 mids = 0.5 * (x1[1:] + x1[:-1])
                 G1, G2 = np.meshgrid(mids, x2, indexing="ij")
                 length = w2[None, :] * np.ones((mids.size, 1))
-                L = plane_p[:-1, :].ravel()
-                R = plane_p[1:, :].ravel()
             else:
                 mids = 0.5 * (x2[1:] + x2[:-1])
                 G1, G2 = np.meshgrid(x1, mids, indexing="ij")
                 length = w1[:, None] * np.ones((1, mids.size))
-                L = plane_p[:, :-1].ravel()
-                R = plane_p[:, 1:].ravel()
             vcomp = np.asarray(cfg.surface_velocity(G1, G2)[axis],
                                dtype=float)
-            flux_pos = (scale * np.maximum(vcomp, 0.0) * length).ravel()
-            flux_neg = (scale * np.minimum(vcomp, 0.0) * length).ravel()
-            rows.extend((L, L, R, R))
-            cols.extend((L, R, L, R))
-            vals.extend((flux_pos, flux_neg, -flux_pos, -flux_neg))
+            upwind(rows, cols, vals, *axis_neighbours(plane_p, axis),
+                   (scale * vcomp * length).ravel())
     if surface_source is not None:
-        s = _eval_field(surface_source, x1, x2)
+        s = on_grid(surface_source, x1, x2)
         np.add.at(b, P, s.ravel() * av)
     if surface_source_minus is not None:
-        s = _eval_field(surface_source_minus, x1, x2)
+        s = on_grid(surface_source_minus, x1, x2)
         np.add.at(b, M, s.ravel() * av)
 
 
@@ -336,32 +289,17 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
     _assemble_surface(cfg, meshp, meshm, rows, cols, vals, b, surface_source,
                       surface_source_minus)
 
-    A = sparse.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_tot, n_tot)).tocsr()
-
     # Dirichlet rows: identity with the boundary data
     fixed = np.zeros(n_tot, dtype=bool)
     data = np.zeros(n_tot)
     for mesh, bc in ((meshp, cfg.bc_plus), (meshm, cfg.bc_minus)):
         mask = mesh.boundary_mask()
-        g = _eval_field(bc, mesh.x1, mesh.x2, mesh.x3)
+        g = on_grid(bc, mesh.x1, mesh.x2, mesh.x3)
         fixed[mesh.index[mask]] = True
         data[mesh.index[mask]] = g[mask]
-    coo = A.tocoo()
-    keep = ~fixed[coo.row]
-    A = sparse.coo_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])),
-        shape=A.shape).tocsr()
-    A = A + sparse.diags(fixed.astype(float))
-    b = np.where(fixed, data, b)
-
-    u = solve_sparse(A.tocsc(), b)
-    residual = float(np.max(np.abs(A @ u - b))
-                     / (np.max(np.abs(b)) + np.max(np.abs(u)) + 1.0))
-    if residual > 1e-9:
-        raise RuntimeError(f"transport solve residual {residual:.2e}")
+    A, b = pin_rows(coo_square(rows, cols, vals, n_tot).tocsr(), b, fixed,
+                    data)
+    u, residual = solve_sparse(A, b)
     return TransportSolution(
         config=cfg,
         u_plus=u[:meshp.n].reshape(meshp.shape),
@@ -428,7 +366,7 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
             scale = max(scale, mesh.reaction * float(np.max(vol)) * umax)
         src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
         if src is not None:
-            s = _eval_field(src, mesh.x1, mesh.x2, mesh.x3)
+            s = on_grid(src, mesh.x1, mesh.x2, mesh.x3)
             factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
             r -= factor * s * vol
             scale = max(scale, float(np.max(np.abs(s * vol))))
@@ -489,11 +427,11 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
                         float(np.max(sscale * np.abs(vcomp) * length))
                         * umax)
     if surface_source is not None:
-        s = _eval_field(surface_source, x1, x2)
+        s = on_grid(surface_source, x1, x2)
         resid["plus"][:, :, 0] -= s * area
         scale = max(scale, float(np.max(np.abs(s * area))))
     if surface_source_minus is not None:
-        s = _eval_field(surface_source_minus, x1, x2)
+        s = on_grid(surface_source_minus, x1, x2)
         resid["minus"][:, :, -1] -= s * area
         scale = max(scale, float(np.max(np.abs(s * area))))
 

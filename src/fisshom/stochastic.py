@@ -16,7 +16,7 @@ families but are reserved for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -463,7 +463,3 @@ def constant_stats(q0: float, r0: float = 0.0) -> ErgodicStats:
     """Exact stats for constant paths (no quadrature)."""
     return ErgodicStats(mean_q=q0, mean_q2=q0 * q0, mean_inv_q2=1.0 / (q0 * q0),
                         mean_r=r0, window_T=math.inf, stderr=0.0)
-
-
-def reseeded(params: ProcessParams, seed: int) -> ProcessParams:
-    return replace(params, seed=seed)

@@ -18,8 +18,9 @@ from fisshom.cell import (CellMesh, compute_kstar, solve_darcy_cell,
                           solve_stokes_cell)
 from fisshom.fissure_transport import (FissureODEConfig, dual_route_gap,
                                        transmission_coeffs)
+from fisshom.fissure_transport import vertical_velocity as interface_velocity
 from fisshom.fissures import GeometryParams
-from fisshom.limit_flow import FlowBC, interface_velocity, solve_limit_flow
+from fisshom.limit_flow import FlowBC, solve_limit_flow
 from fisshom.limit_transport import (TransportConfig, mass_balance_gap,
                                      solve_limit_transport)
 from fisshom.stochastic import (ProcessParams, build_path, constant_stats,

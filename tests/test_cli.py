@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fisshom import __version__
+from fisshom import __version__, cli
 from fisshom.cli import main, run
 from fisshom.config import ConfigError, default_config, parse_config
 
@@ -54,6 +54,8 @@ def test_unknown_section_and_key():
         parse_config(text="turbulence:\n  x: 1\n")
     with pytest.raises(ConfigError, match=r"flow\.slip: unknown key"):
         parse_config(text="flow:\n  slip: 3\n")
+    with pytest.raises(ConfigError, match=r"flow\.slip_gamma: unknown key"):
+        parse_config(text="flow:\n  slip_gamma: 0.05\n")
 
 
 def test_value_errors_carry_key_path():
@@ -98,7 +100,7 @@ def test_config_hash_tracks_content():
 def test_all_stages_write_expected_files(tmp_path):
     out = tmp_path / "out"
     cfg = small_config(out)
-    assert run(cfg, "all", serial=True) == 0
+    assert run(cfg, "all") == 0
     expected = {"cell.json", "flow.json", "flow_interface.csv",
                 "transport.json", "transport_traces.csv",
                 "fissure_census.csv", "fissure.json", "fissure_profile.csv",
@@ -109,7 +111,6 @@ def test_all_stages_write_expected_files(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["config_sha256"] == cfg.config_hash()
     assert man["package_version"] == __version__
-    assert man["serial"] is True
     assert [s["status"] for s in man["steps"]] == ["ok"] * 6
     # every data file indexed with its checksum
     assert set(man["files"]) == expected - {"manifest.json"}
@@ -120,8 +121,8 @@ def test_all_stages_write_expected_files(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run(small_config(out_a), "all", serial=True)
-    run(small_config(out_b), "all", serial=True)
+    run(small_config(out_a), "all")
+    run(small_config(out_b), "all")
     names = sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
     assert names
     for name in names:
@@ -131,7 +132,7 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_single_stage_with_dependencies(tmp_path):
     out = tmp_path / "out"
     cfg = small_config(out)
-    assert run(cfg, "flow", serial=True) == 0
+    assert run(cfg, "flow") == 0
     man = json.loads((out / "manifest.json").read_text())
     assert [s["name"] for s in man["steps"]] == ["cell", "flow"]
     flow = json.loads((out / "flow.json").read_text())
@@ -148,7 +149,7 @@ run: {{output_dir: "{out}"}}
 cell: {{resolution: 64, volume_resolution: 8, surface_resolution: 16}}
 flow: {{shape: [4, 4, 2, 2]}}
 """)
-    assert run(cfg, "transport", serial=True) == 3
+    assert run(cfg, "transport") == 3
     man = json.loads((out / "manifest.json").read_text())
     statuses = {s["name"]: s["status"] for s in man["steps"]}
     assert statuses == {"cell": "ok", "flow": "solver_error",
@@ -163,7 +164,7 @@ def test_sweep_gate_failure_returns_four(tmp_path):
 run: {{base_seed: 6, output_dir: "{out}"}}
 sweep: {{targets: [exchange], realizations: 2, epsilons: [0.1, 0.09]}}
 """)
-    assert run(cfg, "sweep", serial=True) == 4
+    assert run(cfg, "sweep") == 4
     man = json.loads((out / "manifest.json").read_text())
     step = man["steps"][0]
     assert step["status"] == "check_failed"
@@ -172,6 +173,22 @@ sweep: {{targets: [exchange], realizations: 2, epsilons: [0.1, 0.09]}}
     assert set(step["outputs"]) == {"sweep_exchange.csv",
                                     "sweep_exchange.json"}
     assert (out / "sweep_exchange.csv").exists()
+
+
+def test_crashed_stage_still_writes_manifest(tmp_path, monkeypatch):
+    def broken(ctx, outdir):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setitem(cli._STAGE_FN, "flow", broken)
+    out = tmp_path / "out"
+    cfg = small_config(out)
+    assert run(cfg, "transport") == 3
+    man = json.loads((out / "manifest.json").read_text())
+    steps = {s["name"]: s for s in man["steps"]}
+    assert [s["status"] for s in man["steps"]] == ["ok", "crashed",
+                                                  "skipped"]
+    assert steps["flow"]["detail"] == "TypeError: unexpected argument"
+    assert set(man["files"]) == {"cell.json"}
 
 
 def test_run_rejects_unknown_subcommand(tmp_path):
@@ -199,7 +216,7 @@ def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):
                        "surface_resolution: 16}\n")
     out = tmp_path / "results"
     code = main(["cell", "--config", str(cfgfile), "--out", str(out),
-                 "--resolution", "64", "--seed", "3", "--serial"])
+                 "--resolution", "64", "--seed", "3"])
     assert code == 0
     report = json.loads((out / "cell.json").read_text())
     assert report["resolution"] == 64

@@ -322,3 +322,8 @@ def test_pair_brackets_random_fissure():
 def test_vertical_velocity_formula():
     got = vertical_velocity(2.0, -1.0, 0.035, 1.5, 1.0, 0.25, 4.2)
     assert got == (2.0 - (-1.0)) * 0.035 / (1.5 * 1.0 * 0.25 * 4.2)
+    arr = vertical_velocity(np.array([2.5, 1.0]), np.array([1.0, 1.0]),
+                            0.035144, 1.2, 0.9, 0.25445, 4.22788)
+    assert arr.shape == (2,)
+    assert arr[0] == (2.5 - 1.0) * 0.035144 / (1.2 * 0.9 * 0.25445 * 4.22788)
+    assert arr[1] == 0.0

@@ -10,7 +10,6 @@ from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
     TangentialConfig,
-    interface_velocity,
     solve_limit_flow,
     solve_tangential_darcy,
 )
@@ -195,17 +194,6 @@ def test_mms_convergence_order():
     assert fit_loglog_slope(hs, errs_p) >= 1.8
     assert errs_v[-1] < errs_v[0]
     assert errs_v[-1] < 2e-3
-
-
-def test_interface_velocity_verbatim():
-    got = interface_velocity(2.5, 1.0, 0.035144, 1.2, 0.9, 0.25445, 4.22788)
-    want = (2.5 - 1.0) * 0.035144 / (1.2 * 0.9 * 0.25445 * 4.22788)
-    assert got == want
-    arr = interface_velocity(np.array([2.5, 1.0]), np.array([1.0, 1.0]),
-                             0.035144, 1.2, 0.9, 0.25445, 4.22788)
-    assert arr.shape == (2,)
-    assert arr[0] == want
-    assert arr[1] == 0.0
 
 
 # ----------------------------------------------------------------------
