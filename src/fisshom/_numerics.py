@@ -10,6 +10,7 @@ entries fixes how duplicates are summed, so it is part of their contract.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,9 +61,18 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on [0, 1]."""
+    """Nodes/weights on [0, 1], computed once per order; the arrays are
+    shared between callers and therefore read-only."""
+    return _gauss_legendre_rule(order)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def panel_quadrature(a: float, b: float, n_panels: int, order: int = 6):

@@ -164,6 +164,45 @@ def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
     return out
 
 
+def distinct_lines(fissures: list[Fissure]
+                   ) -> tuple[list[HalfPaths], np.ndarray, np.ndarray]:
+    """Distinct half-opening lines of a tube list.
+
+    Returns the lines, an (F, 2) array of each tube's x1 and x2 line index
+    into them, and the (F, 2) tube centres.  A line is keyed by its value,
+    (q base path, q shift, r base path, r shift), so tubes built with
+    separate but equal HalfPaths share one entry: an n x n field needs at
+    most 2n line evaluations, not 2n^2.
+    """
+    lines: list[HalfPaths] = []
+    index: dict = {}
+    pairs = np.empty((len(fissures), 2), dtype=np.intp)
+    centers = np.empty((len(fissures), 2))
+    for k, f in enumerate(fissures):
+        for axis in (0, 1):
+            hp = f.line(axis)
+            key = (hp.q.base, hp.q.offset, hp.r.base, hp.r.offset)
+            n = index.setdefault(key, len(lines))
+            if n == len(lines):
+                lines.append(hp)
+            pairs[k, axis] = n
+        centers[k] = f.center
+    return lines, pairs, centers
+
+
+def depth_quadrature(geometry: GeometryParams, lines: list[HalfPaths],
+                     panels_per_period: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 6-point Gauss rule on (-height, 0) with panels_per_period
+    panels per stretched period of the fastest aperture path among lines,
+    whichever axis they belong to."""
+    max_freq = max(hp.q.max_frequency for hp in lines)
+    rate = max_freq * geometry.epsilon ** (-geometry.theta)
+    n_panels = max(4, int(math.ceil(panels_per_period * geometry.height
+                                    * rate / (2.0 * math.pi))))
+    return panel_quadrature(-geometry.height, 0.0, n_panels, order=6)
+
+
 def fissure_census(fissures: list[Fissure]) -> np.ndarray:
     """Structured array with one row per fissure (for reports and CSV)."""
     dt = np.dtype([("i", np.int64), ("j", np.int64),
@@ -381,33 +420,25 @@ def fissure_volume_integral(fissures: list[Fissure], phi,
     the inner integral is its area times a 2x2 Gauss average; the height
     integral uses composite Gauss panels dense enough for the stretched
     oscillation of the aperture paths.  phi must be vectorized over (x1, x2,
-    x3) arrays.
+    x3) arrays.  Each distinct lattice line is sampled once on the depth
+    grid and the per-tube samples are gathered from those.
     """
     if not fissures:
         return 0.0
     geo = fissures[0].geometry
     eps = geo.epsilon
-    h = geo.height
-    max_freq = max(f.line_x1.q.max_frequency for f in fissures)
-    rate = max_freq * eps ** (-geo.theta)
-    n_panels = max(4, int(math.ceil(panels_per_period * h * rate
-                                    / (2.0 * math.pi))))
-    x3_nodes, x3_w = panel_quadrature(-h, 0.0, n_panels, order=6)
+    lines, pairs, centers = distinct_lines(fissures)
+    x3_nodes, x3_w = depth_quadrature(geo, lines, panels_per_period)
     s_nodes = geo.stretched_depth(x3_nodes)
     g2, _ = gauss_legendre(2)
     gauss_off = g2 - 0.5  # offsets in (-1/2, 1/2)
 
-    F = len(fissures)
-    H = len(x3_nodes)
-    a1m = np.empty((F, H)); a1p = np.empty((F, H))
-    a2m = np.empty((F, H)); a2p = np.empty((F, H))
-    base1 = np.empty(F); base2 = np.empty(F)
-    for k, f in enumerate(fissures):
-        a1m[k] = f.line_x1.minus(s_nodes)
-        a1p[k] = f.line_x1.plus(s_nodes)
-        a2m[k] = f.line_x2.minus(s_nodes)
-        a2p[k] = f.line_x2.plus(s_nodes)
-        base1[k], base2[k] = f.center
+    minus = np.array([hp.minus(s_nodes) for hp in lines])
+    plus = np.array([hp.plus(s_nodes) for hp in lines])
+    i1, i2 = pairs.T
+    a1m, a1p = minus[i1], plus[i1]
+    a2m, a2p = minus[i2], plus[i2]
+    base1, base2 = centers.T
     q1 = a1p - a1m
     q2 = a2p - a2m
     mid1 = base1[:, None] + eps * 0.5 * (a1p + a1m)

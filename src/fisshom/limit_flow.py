@@ -242,29 +242,6 @@ class LimitFlowSolution:
         return float(max(np.max(np.abs(down_out_plus - v)),
                          np.max(np.abs(down_in_minus - v))))
 
-    def velocity(self, side: str) -> np.ndarray:
-        """Cell-centered Darcy velocity (averaged two-point face fluxes)."""
-        cfg = self.config
-        bed = _Bed(cfg, side, 0)
-        p = self.p_plus if side == "plus" else self.p_minus
-        out = np.zeros(p.shape + (3,))
-        for axis in range(3):
-            d = bed.deltas[axis]
-            grad = np.diff(p, axis=axis) / d
-            inner = -bed.kappa[axis] * grad
-            pad = [(0, 0)] * 3
-            pad[axis] = (1, 1)
-            inner = np.pad(inner, pad, mode="edge")
-            sl_lo = [slice(None)] * 4
-            sl_hi = [slice(None)] * 4
-            sl_lo[axis] = slice(0, -1)
-            sl_hi[axis] = slice(1, None)
-            out[..., axis] = 0.5 * (inner[tuple(sl_lo[:3])]
-                                    + inner[tuple(sl_hi[:3])])
-        if bed.gravity != 0.0:
-            out[..., 2] += bed.kappa[2] * bed.gravity
-        return out
-
 
 def _trace_system(cfg: FlowConfig):
     """Closed-form elimination data for the per-column 2x2 trace solve."""

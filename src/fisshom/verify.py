@@ -28,13 +28,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import (derive_seed, fit_loglog_slope, panel_quadrature,
-                        sym_inv_sqrt, uniform_from_hash)
+from ._numerics import (derive_seed, fit_loglog_slope, sym_inv_sqrt,
+                        uniform_from_hash)
 from .cell import DragCell, compute_kstar, solve_stokes_cell
 from .fissure_transport import (FissureODEConfig, PairBrackets,
                                 fine_interface_fluxes, limit_comparison,
                                 pair_brackets, transmission_coeffs)
-from .fissures import (Fissure, GeometryParams, HalfPaths, enumerate_fissures,
+from .fissures import (Fissure, GeometryParams, HalfPaths, depth_quadrature,
+                       distinct_lines, enumerate_fissures,
                        fissure_volume_integral, surface_integral)
 from .stochastic import (ErgodicStats, PhaseSequence, ProcessParams,
                          build_path, estimate_brackets)
@@ -172,24 +173,24 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
 
 def _pair_averages(fissures: list[Fissure], panels_per_period: float = 6.0):
     """Per-fissure height averages of the aperture product, its reciprocal,
-    and the product at the interface plane."""
+    and the product at the interface plane.
+
+    Each distinct lattice line is sampled once; the height averages stay one
+    dot product per tube, since a matrix-vector product over all tubes
+    rounds differently.
+    """
     geo = fissures[0].geometry
     h = geo.height
-    max_freq = max(f.line_x1.q.max_frequency for f in fissures)
-    rate = max_freq * geo.epsilon ** (-geo.theta)
-    n_panels = max(4, int(math.ceil(panels_per_period * h * rate
-                                    / (2.0 * math.pi))))
-    x3, w = panel_quadrature(-h, 0.0, n_panels, order=6)
+    lines, pairs, _ = distinct_lines(fissures)
+    x3, w = depth_quadrature(geo, lines, panels_per_period)
     s = geo.stretched_depth(x3)
-    F = len(fissures)
-    qbar = np.empty(F)
-    rbar = np.empty(F)
-    q0 = np.empty(F)
-    for k, f in enumerate(fissures):
-        qq = np.asarray(f.line_x1.width(s) * f.line_x2.width(s), dtype=float)
-        qbar[k] = qq @ w / h
-        rbar[k] = (1.0 / qq) @ w / h
-        q0[k] = float(f.line_x1.width(0.0)) * float(f.line_x2.width(0.0))
+    width = np.array([hp.width(s) for hp in lines], dtype=float)
+    width0 = np.array([float(hp.width(0.0)) for hp in lines])
+    i1, i2 = pairs.T
+    qq = width[i1] * width[i2]
+    qbar = np.array([row @ w for row in qq]) / h
+    rbar = np.array([row @ w for row in 1.0 / qq]) / h
+    q0 = width0[i1] * width0[i2]
     return qbar, rbar, q0
 
 

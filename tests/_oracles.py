@@ -4,11 +4,18 @@ Everything here was computed and frozen before the solvers were written.
 The torsion constants come from two independent classical series that agree
 to 2.7e-13; the aperture-path averages come from 2D torus quadrature at two
 resolutions agreeing to ~1e-12.
+
+The per-tube quadrature loops at the end are the retained references of the
+line-factored fast paths in `fisshom.fissures` and `fisshom.verify`: they
+evaluate the four half-opening paths of every tube separately, and the fast
+paths must reproduce them bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from fisshom._numerics import fsum, gauss_legendre, panel_quadrature
 
 # integral of the unit-load Dirichlet solution on the unit square
 K0_SQUARE = 0.0351442537385
@@ -64,3 +71,79 @@ def laminate_tensor_1d(k_func, axis: int, dim: int, n_quad: int = 4001):
         else:
             out[d] = np.trapezoid(vals[:, d], z)
     return np.diag(out)
+
+
+# ---------------------------------------------------------------------------
+# per-tube references of the tube-union quadratures
+
+
+def _depth_quadrature(fissures, panels_per_period):
+    """Composite Gauss rule in x3 resolving the fastest aperture path of
+    either axis."""
+    geo = fissures[0].geometry
+    h = geo.height
+    max_freq = max(max(f.line_x1.q.max_frequency, f.line_x2.q.max_frequency)
+                   for f in fissures)
+    rate = max_freq * geo.epsilon ** (-geo.theta)
+    n_panels = max(4, int(math.ceil(panels_per_period * h * rate
+                                    / (2.0 * math.pi))))
+    return panel_quadrature(-h, 0.0, n_panels, order=6)
+
+
+def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
+    """`fissure_volume_integral` with the four paths of each tube evaluated
+    tube by tube."""
+    if not fissures:
+        return 0.0
+    geo = fissures[0].geometry
+    eps = geo.epsilon
+    x3_nodes, x3_w = _depth_quadrature(fissures, panels_per_period)
+    s_nodes = geo.stretched_depth(x3_nodes)
+    g2, _ = gauss_legendre(2)
+    gauss_off = g2 - 0.5
+
+    F = len(fissures)
+    H = len(x3_nodes)
+    a1m = np.empty((F, H)); a1p = np.empty((F, H))
+    a2m = np.empty((F, H)); a2p = np.empty((F, H))
+    base1 = np.empty(F); base2 = np.empty(F)
+    for k, f in enumerate(fissures):
+        a1m[k] = f.line_x1.minus(s_nodes)
+        a1p[k] = f.line_x1.plus(s_nodes)
+        a2m[k] = f.line_x2.minus(s_nodes)
+        a2p[k] = f.line_x2.plus(s_nodes)
+        base1[k], base2[k] = f.center
+    q1 = a1p - a1m
+    q2 = a2p - a2m
+    mid1 = base1[:, None] + eps * 0.5 * (a1p + a1m)
+    mid2 = base2[:, None] + eps * 0.5 * (a2p + a2m)
+    x1 = mid1[..., None, None] + (eps * q1)[..., None, None] \
+        * gauss_off[None, None, :, None]
+    x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
+        * gauss_off[None, None, None, :]
+    x3 = np.broadcast_to(x3_nodes[None, :, None, None], x1.shape)
+    vals = np.asarray(phi(x1, x2, x3), dtype=float)
+    vals = np.broadcast_to(vals, x1.shape)
+    cell_mean = vals.mean(axis=(2, 3))
+    area = eps * eps * q1 * q2
+    per_fissure = (cell_mean * area * x3_w[None, :]).sum(axis=1)
+    return fsum(per_fissure)
+
+
+def pair_averages_per_tube(fissures, panels_per_period=6.0):
+    """`verify._pair_averages` with the aperture products of each tube
+    evaluated tube by tube."""
+    geo = fissures[0].geometry
+    h = geo.height
+    x3, w = _depth_quadrature(fissures, panels_per_period)
+    s = geo.stretched_depth(x3)
+    F = len(fissures)
+    qbar = np.empty(F)
+    rbar = np.empty(F)
+    q0 = np.empty(F)
+    for k, f in enumerate(fissures):
+        qq = np.asarray(f.line_x1.width(s) * f.line_x2.width(s), dtype=float)
+        qbar[k] = qq @ w / h
+        rbar[k] = (1.0 / qq) @ w / h
+        q0[k] = float(f.line_x1.width(0.0)) * float(f.line_x2.width(0.0))
+    return qbar, rbar, q0

@@ -14,6 +14,7 @@ from fisshom.fissures import (
     HalfPaths,
     aperture,
     certified_offsets,
+    distinct_lines,
     enumerate_fissures,
     fissure_census,
     fissure_volume_integral,
@@ -105,6 +106,33 @@ def test_aperture_width_within_process_bounds():
     width = hi - lo
     assert np.all(width >= 0.3 - 1e-12)
     assert np.all(width <= 0.7 + 1e-12)
+
+
+def test_distinct_lines_keys_lines_by_value():
+    _, q, r, ph = make_field()
+    geo = GeometryParams(epsilon=0.125, theta=0.5, height=1.0,
+                         x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
+    fissures = enumerate_fissures(geo, q, r, ph)
+    lines, pairs, centers = distinct_lines(fissures)
+    # enumeration builds fresh HalfPaths per tube; line i of either axis
+    # carries the shifts of index i, so the distinct lines are the union
+    # of the two index ranges
+    indices = {f.i for f in fissures} | {f.j for f in fissures}
+    assert len(lines) == len(indices)
+    assert pairs.shape == centers.shape == (len(fissures), 2)
+    for k, f in enumerate(fissures):
+        for axis in (0, 1):
+            hp, ref = lines[pairs[k, axis]], f.line(axis)
+            assert (hp.alpha, hp.beta) == (ref.alpha, ref.beta)
+            assert hp.q.base is ref.q.base and hp.r.base is ref.r.base
+        assert tuple(centers[k]) == f.center
+    # same shifts on another base path are another line
+    other = build_path(Q_PARAMS)
+    hp = fissures[0].line_x1
+    twin = Fissure(i=0, j=0, geometry=geo, line_x1=hp,
+                   line_x2=HalfPaths(other, r, hp.alpha, hp.beta))
+    lines, pairs, _ = distinct_lines([twin])
+    assert len(lines) == 2 and tuple(pairs[0]) == (0, 1)
 
 
 def test_census_is_deterministic():

@@ -5,10 +5,16 @@ sweep machinery on short ladders and pin the cases with exact answers (the
 constant-aperture geometry, where the only finite-scale error is the
 uncovered boundary ring)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fisshom.stochastic import ProcessParams
+from _oracles import pair_averages_per_tube, volume_integral_per_tube
+from fisshom.fissures import (Fissure, GeometryParams, HalfPaths,
+                              enumerate_fissures, fissure_volume_integral)
+from fisshom.stochastic import PhaseSequence, ProcessParams, build_path
 from fisshom import verify
 
 
@@ -123,3 +129,91 @@ def test_summary_slope_and_helpers():
     assert s.n_realizations == 3
     vals = [r["rel_err_const"] for r in s.rows if r["eps"] == 1 / 16]
     assert s.medians["rel_err_const"][1] == pytest.approx(np.median(vals))
+
+
+# ---------------------------------------------------------------------------
+# line-factored tube-union quadratures against their per-tube references
+
+TEST_FUNCTIONS = (
+    lambda x1, x2, x3: np.ones_like(x1),
+    lambda x1, x2, x3: x1,
+    lambda x1, x2, x3: np.sin(3.0 * x1) + x3 ** 2,
+)
+
+
+def _enumerated(eps):
+    geo = GeometryParams(epsilon=eps, theta=0.5, height=1.0,
+                         x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
+    q = build_path(verify.APERTURE_FAST)
+    r = build_path(verify.CENTERLINE_DEFAULT)
+    return enumerate_fissures(geo, q, r, PhaseSequence(bound=0.3, seed=4))
+
+
+def _lines():
+    """Half-opening lines that differ in one key part each: `equal`
+    repeats `shared` as a separate object, `slid` shifts its centerline,
+    `moved` takes another centerline path and `fast` an aperture with
+    frequencies 12 and 12 sqrt 2."""
+    q = build_path(verify.APERTURE_DEFAULT)
+    q_fast = build_path(replace(verify.APERTURE_DEFAULT, seed=3,
+                                frequencies=(12.0, 12.0 * math.sqrt(2.0)),
+                                deriv_bound=None))
+    r = build_path(verify.CENTERLINE_DEFAULT)
+    r_other = build_path(replace(verify.CENTERLINE_DEFAULT, seed=5))
+    return {"shared": HalfPaths(q, r, 0.1, -0.2),
+            "equal": HalfPaths(q, r, 0.1, -0.2),
+            "slid": HalfPaths(q, r, 0.1, 0.25),
+            "moved": HalfPaths(q, r_other, 0.1, -0.2),
+            "fast": HalfPaths(q_fast, r, 0.1, -0.2)}
+
+
+def _tubes(line_pairs):
+    geo = GeometryParams(epsilon=1 / 16, theta=0.5, height=1.0)
+    return [Fissure(i=k + 3, j=2 * k + 5, geometry=geo, line_x1=a,
+                    line_x2=b) for k, (a, b) in enumerate(line_pairs)]
+
+
+def _hand_built():
+    """Tubes that share HalfPaths objects, repeat equal ones and mix base
+    paths, with the fastest aperture on x2 only in some tubes."""
+    L = _lines()
+    return _tubes([(L["shared"], L["shared"]), (L["shared"], L["equal"]),
+                   (L["equal"], L["fast"]), (L["moved"], L["shared"]),
+                   (L["slid"], L["moved"]), (L["fast"], L["slid"]),
+                   (L["shared"], L["fast"])])
+
+
+def _single():
+    return _enumerated(1 / 8)[11:12]
+
+
+@pytest.mark.parametrize("build", [lambda: _enumerated(1 / 8),
+                                   lambda: _enumerated(1 / 16),
+                                   _hand_built, _single],
+                         ids=["field_eps8", "field_eps16", "hand_built",
+                              "single_tube"])
+def test_line_factored_quadratures_match_per_tube_loops(build):
+    fissures = build()
+    for phi in TEST_FUNCTIONS:
+        assert fissure_volume_integral(fissures, phi) \
+            == volume_integral_per_tube(fissures, phi)
+    fast = verify._pair_averages(fissures)
+    reference = pair_averages_per_tube(fissures)
+    for got, ref in zip(fast, reference):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("fast_axis", [0, 1])
+def test_depth_panels_resolve_the_faster_axis(fast_axis):
+    # the depth grid follows the fastest aperture of either axis, so a
+    # tube is resolved equally well in both axis orders
+    L = _lines()
+    pair = (L["fast"], L["shared"])
+    tube = _tubes([pair if fast_axis == 0 else pair[::-1]])
+    phi = TEST_FUNCTIONS[0]
+    vol = fissure_volume_integral(tube, phi)
+    ref = fissure_volume_integral(tube, phi, panels_per_period=64)
+    assert vol == pytest.approx(ref, rel=1e-10, abs=0.0)
+    for got, ref in zip(verify._pair_averages(tube),
+                        verify._pair_averages(tube, panels_per_period=64)):
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
