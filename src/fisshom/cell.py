@@ -266,7 +266,7 @@ def solve_darcy_cell(mesh: CellMesh, permeability=1.0) -> PeriodicCellSolution:
     effective Darcy tensor of the torus problem.
     """
     sol = _solve_periodic_cell(mesh, permeability)
-    if sol.div_residual > 1e-10:
+    if not sol.div_residual <= 1e-10:
         raise RuntimeError(
             f"Darcy cell conservation residual {sol.div_residual:.2e} > 1e-10")
     return sol
@@ -284,7 +284,7 @@ def solve_scalar_cell_3d(mesh: CellMesh, diffusivity: float = 1.0
         raise ValueError("volume diffusion cell is three-dimensional")
     indicator = np.where(mesh.fluid, float(diffusivity), 0.0)
     sol = _solve_periodic_cell(mesh, indicator)
-    if sol.div_residual > 1e-10:
+    if not sol.div_residual <= 1e-10:
         raise RuntimeError(
             f"diffusion cell conservation residual {sol.div_residual:.2e}")
     return sol

@@ -28,8 +28,8 @@ from .cell import (CellMesh, compute_kstar, solve_darcy_cell,
                    solve_scalar_cell_3d, solve_stokes_cell)
 from .config import ConfigError, ExperimentConfig, parse_config
 from .fissure_transport import (FissureODEConfig, build_profile,
-                                dual_route_gap, fine_interface_fluxes,
-                                pair_brackets, transmission_coeffs)
+                                dual_route_gap, pair_brackets,
+                                transmission_coeffs)
 from .fissures import GeometryParams, enumerate_fissures, fissure_census
 from .limit_flow import FlowBC, FlowConfig, solve_limit_flow
 from .limit_transport import (TransportConfig, mass_balance_gap,
@@ -167,9 +167,9 @@ def _spd_report(name: str, tensor: np.ndarray) -> dict:
     tensor = np.asarray(tensor, dtype=float)
     sym_gap = float(np.max(np.abs(tensor - tensor.T)))
     eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
-    if sym_gap > 1e-10:
+    if not sym_gap <= 1e-10:
         raise CheckFailure(f"{name} tensor asymmetric (gap {sym_gap:.3e})")
-    if eigs[0] <= 0.0:
+    if not eigs[0] > 0.0:
         raise CheckFailure(f"{name} tensor not positive definite "
                            f"(min eigenvalue {eigs[0]:.3e})")
     return {"tensor": tensor, "symmetry_gap": sym_gap,
@@ -179,7 +179,7 @@ def _spd_report(name: str, tensor: np.ndarray) -> dict:
 def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
     cfg = ctx.cfg
     torsion = ctx.torsion
-    if torsion.identity_gap > 1e-8:
+    if not torsion.identity_gap <= 1e-8:
         raise CheckFailure(
             f"tube drag integral identity gap {torsion.identity_gap:.3e} "
             "exceeds 1e-8")
@@ -191,7 +191,7 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         cfg.flow["k_minus"]))
     scalar = solve_scalar_cell_3d(mesh3, diffusivity=1.0)
     scalar_gap = float(np.max(np.abs(scalar.tensor - np.eye(3))))
-    if scalar_gap > 1e-10:
+    if not scalar_gap <= 1e-10:
         raise CheckFailure(f"obstacle-free diffusion cell deviates from the "
                            f"identity by {scalar_gap:.3e}")
     mesh2 = CellMesh(n=cfg.cell_surface_resolution, dim=2)
@@ -240,10 +240,10 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
         gravity_minus=f["gravity_minus"])
     bc = FlowBC(kind=f["bc_kind"], p_top=f["p_top"], p_bottom=f["p_bottom"])
     sol = solve_limit_flow(flow_cfg, bc)
-    if sol.residual > 1e-9:
+    if not sol.residual <= 1e-9:
         raise CheckFailure(f"flow residual {sol.residual:.3e} exceeds 1e-9")
     cont = sol.flux_continuity_gap()
-    if cont > 1e-8:
+    if not cont <= 1e-8:
         raise CheckFailure(f"flow interface flux continuity gap {cont:.3e} "
                            "exceeds 1e-8")
     report = {
@@ -288,15 +288,15 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
         depth_minus=t["depth_minus_length"], x1_extent=cfg.x1_extent,
         x2_extent=cfg.x2_extent, shape=tuple(t["shape"]))
     sol = solve_limit_transport(tr_cfg)
-    if sol.residual > 1e-9:
+    if not sol.residual <= 1e-9:
         raise CheckFailure(f"transport residual {sol.residual:.3e} "
                            "exceeds 1e-9")
     balance = mass_balance_gap(sol)
-    if balance > 1e-8:
+    if not balance <= 1e-8:
         raise CheckFailure(f"transport balance gap {balance:.3e} "
                            "exceeds 1e-8")
     lo, hi = sol.extrema()
-    if min(t["bc_plus"], t["bc_minus"]) >= 0.0 and lo < -1e-12:
+    if min(t["bc_plus"], t["bc_minus"]) >= 0.0 and not lo >= -1e-12:
         raise CheckFailure(f"negative concentration {lo:.3e} under "
                            "nonnegative boundary data")
     flux_top, flux_bottom = sol.exchange_fluxes()
@@ -335,7 +335,7 @@ def _stage_fissure(ctx: _Context, outdir: str) -> list[str]:
         fissure=fissures[mid], diffusion=cfg.transport["tube_diffusion"],
         reaction=cfg.transport["R_rate"], v3=cfg.transport["drift_v3"])
     gap = dual_route_gap(tube_cfg)
-    if gap > 1e-8:
+    if not gap <= 1e-8:
         raise CheckFailure(f"tube profile dual-route gap {gap:.3e} "
                            "exceeds 1e-8")
     _write_csv(os.path.join(outdir, "fissure_census.csv"),
@@ -344,7 +344,6 @@ def _stage_fissure(ctx: _Context, outdir: str) -> list[str]:
     u_plus = cfg.transport["bc_plus"]
     u_minus = cfg.transport["bc_minus"]
     profile = build_profile(tube_cfg, u_plus, u_minus, kind="reactive")
-    fine_top, fine_bottom = fine_interface_fluxes(tube_cfg, u_plus, u_minus)
     pb = pair_brackets(tube_cfg)
     limit = transmission_coeffs(
         tube_cfg.diffusion, tube_cfg.reaction, tube_cfg.v3, cfg.h_length,
@@ -355,8 +354,8 @@ def _stage_fissure(ctx: _Context, outdir: str) -> list[str]:
         "dual_route_gap": gap,
         "pair_brackets": {"mean_qq": pb.mean_qq,
                           "mean_inv_qq": pb.mean_inv_qq},
-        "flux_top_resolved": fine_top,
-        "flux_bottom_resolved": fine_bottom,
+        "flux_top_resolved": profile.flux_top,
+        "flux_bottom_resolved": profile.flux_bottom,
         "flux_top_limit": float(limit.flux_top(u_plus, u_minus)),
         "flux_bottom_limit": float(limit.flux_bottom(u_plus, u_minus)),
     }
@@ -380,7 +379,7 @@ def _stage_ergodic(ctx: _Context, outdir: str) -> list[str]:
                         "stderr": st.stderr})
     stderrs = [e["stderr"] for e in entries]
     slope = fit_loglog_slope(horizons, stderrs)
-    if slope >= -0.2:
+    if not slope < -0.2:
         raise CheckFailure(
             f"bracket standard error decays with rate {slope:.3f}; expected "
             "clearly negative (about -0.5) over growing horizons")

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import yaml
 
@@ -48,6 +47,8 @@ def _number(path: str, value, lo=None, hi=None, open_lo=False,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if lo is not None and (v < lo or (open_lo and v == lo)):
         raise ConfigError(f"{path}: must be {'>' if open_lo else '>='} {lo}, "
                           f"got {value}")
@@ -72,6 +73,17 @@ def _numbers(path: str, value, length=None) -> tuple[float, ...]:
         raise ConfigError(f"{path}: expected {length} entries, "
                           f"got {len(value)}")
     return tuple(_number(f"{path}[{k}]", v) for k, v in enumerate(value))
+
+
+def _shape(path: str, value) -> list[int]:
+    """Bed grid (n1, n2, nz_plus, nz_minus), each at least 2 cells."""
+    if isinstance(value, (list, tuple)):
+        shape = [_integer(f"{path}[{k}]", v, lo=2)
+                 for k, v in enumerate(value)]
+        if len(shape) == 4:
+            return shape
+    raise ConfigError(f"{path}: expected 4 entries "
+                      "(n1, n2, nz_plus, nz_minus)")
 
 
 def _choice(path: str, value, options) -> str:
@@ -308,8 +320,7 @@ def parse_config(path: str | None = None, text: str | None = None,
         "depth_minus_length": _number(
             "flow.depth_minus_length",
             flow_sec.get("depth_minus_length", 1.0), lo=0.0, open_lo=True),
-        "shape": [_integer(f"flow.shape[{k}]", v, lo=2) for k, v in
-                  enumerate(flow_sec.get("shape", [8, 8, 8, 8]))],
+        "shape": _shape("flow.shape", flow_sec.get("shape", [8, 8, 8, 8])),
         "gravity_plus": _number("flow.gravity_plus",
                                 flow_sec.get("gravity_plus", 0.0)),
         "gravity_minus": _number("flow.gravity_minus",
@@ -320,9 +331,6 @@ def parse_config(path: str | None = None, text: str | None = None,
         "p_top": _number("flow.p_top", flow_sec.get("p_top", 1.0)),
         "p_bottom": _number("flow.p_bottom", flow_sec.get("p_bottom", 0.0)),
     }
-    if len(flow["shape"]) != 4:
-        raise ConfigError("flow.shape: expected 4 entries "
-                          "(n1, n2, nz_plus, nz_minus)")
 
     tr_sec = _section(data, "transport",
                       ("diff_plus", "diff_minus", "tube_diffusion", "R_rate",
@@ -353,8 +361,8 @@ def parse_config(path: str | None = None, text: str | None = None,
         "bc_plus": _number("transport.bc_plus", tr_sec.get("bc_plus", 1.0)),
         "bc_minus": _number("transport.bc_minus",
                             tr_sec.get("bc_minus", 0.0)),
-        "shape": [_integer(f"transport.shape[{k}]", v, lo=2) for k, v in
-                  enumerate(tr_sec.get("shape", [8, 8, 8, 8]))],
+        "shape": _shape("transport.shape",
+                        tr_sec.get("shape", [8, 8, 8, 8])),
         "depth_plus_length": _number(
             "transport.depth_plus_length",
             tr_sec.get("depth_plus_length", 1.0), lo=0.0, open_lo=True),
@@ -363,9 +371,6 @@ def parse_config(path: str | None = None, text: str | None = None,
             tr_sec.get("depth_minus_length", 1.0), lo=0.0, open_lo=True),
         "surface_diffusion": surface_diffusion,
     }
-    if len(transport["shape"]) != 4:
-        raise ConfigError("transport.shape: expected 4 entries "
-                          "(n1, n2, nz_plus, nz_minus)")
 
     er_sec = _section(data, "ergodic", ("horizons", "window_len"))
     horizons = _numbers("ergodic.horizons",

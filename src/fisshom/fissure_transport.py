@@ -28,14 +28,14 @@ route, which is exact for every v3, covers the drifted case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from ._numerics import fsum
 from .fissures import Fissure
-from .stochastic import StationaryPath, ergodic_average
+from .stochastic import WINDOW_LEN, StationaryPath, window_means
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,6 @@ def tube_weight(cfg: FissureODEConfig, x3):
     return cfg.fissure.line_x1.width(s) * cfg.fissure.line_x2.width(s)
 
 
-class _PairProductPath:
-    """Ergodic-average adapter for the aperture product along one tube."""
-
-    def __init__(self, cfg: FissureODEConfig):
-        self.a = cfg.fissure.line_x1.q
-        self.b = cfg.fissure.line_x2.q
-
-    def __call__(self, t):
-        return self.a(t) * self.b(t)
-
-    @property
-    def max_frequency(self):
-        return max(self.a.max_frequency, self.b.max_frequency)
-
-
 @dataclass(frozen=True)
 class PairBrackets:
     """Long-time averages of the aperture product and its reciprocal for one
@@ -91,28 +76,31 @@ class PairBrackets:
             raise ValueError("pair brackets violate Cauchy-Schwarz")
 
 
-def pair_brackets(cfg: FissureODEConfig, T: float = 2.0e3,
-                  window_len: float = 25.0) -> PairBrackets:
-    path = _PairProductPath(cfg)
-    m = ergodic_average(path, T, window_len=window_len).value
-    mi = ergodic_average(path, T, transform=lambda v: 1.0 / v,
-                         window_len=window_len).value
-    return PairBrackets(mean_qq=m, mean_inv_qq=mi)
+def pair_brackets(cfg: FissureODEConfig, T: float = 2.0e3) -> PairBrackets:
+    """<qq> and <1/qq> along the tube, from one sample of the product."""
+    a, b = cfg.fissure.line_x1.q, cfg.fissure.line_x2.q
+
+    def weighted(nodes, weights):
+        qq = a(nodes) * b(nodes)
+        return weights * qq, weights * (1.0 / qq)
+
+    m, mi = window_means(T, WINDOW_LEN,
+                         max(a.max_frequency, b.max_frequency), weighted)
+    return PairBrackets(mean_qq=fsum(m) / len(m),
+                        mean_inv_qq=fsum(mi) / len(mi))
 
 
-def _grid(cfg: FissureODEConfig, n_points: int | None,
-          points_per_period: float = 400.0) -> np.ndarray:
+def _grid(cfg: FissureODEConfig) -> np.ndarray:
+    """Uniform depth grid, 400 nodes per stretched period of the faster
+    aperture, at least 800 intervals and an even count (Simpson's rule)."""
     geo = cfg.fissure.geometry
-    if n_points is None:
-        rate = max(cfg.fissure.line_x1.q.max_frequency,
-                   cfg.fissure.line_x2.q.max_frequency) \
-            * geo.epsilon ** (-geo.theta)
-        n_points = int(math.ceil(points_per_period * geo.height * rate
-                                 / (2.0 * math.pi)))
-        n_points = max(800, n_points)
-    if n_points % 2 == 1:
-        n_points += 1
-    return np.linspace(-geo.height, 0.0, n_points + 1)
+    rate = max(cfg.fissure.line_x1.q.max_frequency,
+               cfg.fissure.line_x2.q.max_frequency) \
+        * geo.epsilon ** (-geo.theta)
+    n = max(800, int(math.ceil(400.0 * geo.height * rate / (2.0 * math.pi))))
+    if n % 2 == 1:
+        n += 1
+    return np.linspace(-geo.height, 0.0, n + 1)
 
 
 @dataclass
@@ -134,10 +122,6 @@ class FissureODESolution:
     @property
     def at_bottom(self) -> float:
         return float(self.values[0])
-
-    @property
-    def at_top(self) -> float:
-        return float(self.values[-1])
 
 
 def _cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -202,9 +186,9 @@ def _solve_rk4(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
     return u, flux_exp
 
 
-def _solve(cfg: FissureODEConfig, homogeneous: bool, method: str,
-           n_points: int | None) -> FissureODESolution:
-    x = _grid(cfg, n_points)
+def _solve(cfg: FissureODEConfig, homogeneous: bool,
+           method: str) -> FissureODESolution:
+    x = _grid(cfg)
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
     if method == "volterra":
         u, flux, iters = _solve_volterra(cfg, x, qq, homogeneous)
@@ -219,25 +203,24 @@ def _solve(cfg: FissureODEConfig, homogeneous: bool, method: str,
                               iterations=iters)
 
 
-def solve_w(cfg: FissureODEConfig, method: str = "volterra",
-            n_points: int | None = None) -> FissureODESolution:
+def solve_w(cfg: FissureODEConfig, method: str = "volterra"
+            ) -> FissureODESolution:
     """Fundamental solution with w(0) = 1, w'(0) = 0."""
-    return _solve(cfg, homogeneous=True, method=method, n_points=n_points)
+    return _solve(cfg, homogeneous=True, method=method)
 
 
-def solve_z(cfg: FissureODEConfig, method: str = "volterra",
-            n_points: int | None = None) -> FissureODESolution:
+def solve_z(cfg: FissureODEConfig, method: str = "volterra"
+            ) -> FissureODESolution:
     """Fundamental solution with z(0) = 0, z'(0) = 1/qq(0)."""
-    return _solve(cfg, homogeneous=False, method=method, n_points=n_points)
+    return _solve(cfg, homogeneous=False, method=method)
 
 
-def dual_route_gap(cfg: FissureODEConfig, n_points: int | None = None
-                   ) -> float:
+def dual_route_gap(cfg: FissureODEConfig) -> float:
     """Sup-norm disagreement of the two solution routes over (w, z)."""
     gap = 0.0
     for solver in (solve_w, solve_z):
-        a = solver(cfg, method="volterra", n_points=n_points)
-        b = solver(cfg, method="rk4", n_points=n_points)
+        a = solver(cfg, method="volterra")
+        b = solver(cfg, method="rk4")
         gap = max(gap, float(np.max(np.abs(a.values - b.values))))
     return gap
 
@@ -329,8 +312,7 @@ class FissureProfile:
 
 
 def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
-                  kind: str = "reactive", n_points: int | None = None
-                  ) -> FissureProfile:
+                  kind: str = "reactive") -> FissureProfile:
     """Depth profile matching the two interface traces.
 
     kind "advective": zero-reaction quotient-of-integrals profile (exact for
@@ -341,11 +323,9 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
     downward.
     """
     D, v = cfg.diffusion, cfg.v3
-    x = _grid(cfg, n_points)
-    qq = np.asarray(tube_weight(cfg, x), dtype=float)
     if kind == "reactive":
-        w_sol = solve_w(cfg, n_points=n_points)
-        z_sol = solve_z(cfg, n_points=n_points)
+        w_sol = solve_w(cfg)
+        z_sol = solve_z(cfg)
         zb = z_sol.at_bottom
         floor = z_bottom_floor(cfg)
         if not zb <= -floor * (1.0 - 1e-9):
@@ -359,8 +339,10 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
         h = cfg.fissure.geometry.height
         flux_bottom = math.exp(h * v / D) * (
             u_plus * float(w_sol.flux_exp[0]) + c * float(z_sol.flux_exp[0]))
-        return FissureProfile(x3=x, values=values, flux_top=flux_top,
+        return FissureProfile(x3=w_sol.x3, values=values, flux_top=flux_top,
                               flux_bottom=flux_bottom, kind=kind)
+    x = _grid(cfg)
+    qq = np.asarray(tube_weight(cfg, x), dtype=float)
     if kind == "advective":
         weight = np.exp(-x * v / D) / qq
     elif kind == "dispersive":
@@ -393,11 +375,9 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
 
 
 def fine_interface_fluxes(cfg: FissureODEConfig, u_plus: float,
-                          u_minus: float, n_points: int | None = None
-                          ) -> tuple[float, float]:
+                          u_minus: float) -> tuple[float, float]:
     """Resolved-layer diffusive fluxes at the two interfaces (downward)."""
-    prof = build_profile(cfg, u_plus, u_minus, kind="reactive",
-                         n_points=n_points)
+    prof = build_profile(cfg, u_plus, u_minus, kind="reactive")
     return prof.flux_top, prof.flux_bottom
 
 
@@ -422,8 +402,8 @@ def _sup_gap(values: np.ndarray, limit: np.ndarray) -> float:
     return gap / scale if scale > 0.0 else gap
 
 
-def limit_comparison(cfg: FissureODEConfig, brackets: PairBrackets,
-                     n_points: int | None = None) -> LimitComparison:
+def limit_comparison(cfg: FissureODEConfig, brackets: PairBrackets
+                     ) -> LimitComparison:
     """Distance of (w, z) and their weighted fluxes from the cosh/sinh
     profiles in the layer averages.  Meaningful for v3 = 0 (the averaged
     limit drops the drift weight); callers enforce that."""
@@ -431,8 +411,8 @@ def limit_comparison(cfg: FissureODEConfig, brackets: PairBrackets,
         raise ValueError("limit profiles are defined for zero drift")
     D, R = cfg.diffusion, cfg.reaction
     r_hat = math.sqrt(R * brackets.mean_qq * brackets.mean_inv_qq / D)
-    w_sol = solve_w(cfg, n_points=n_points)
-    z_sol = solve_z(cfg, n_points=n_points)
+    w_sol = solve_w(cfg)
+    z_sol = solve_z(cfg)
     x = w_sol.x3
     w_lim = np.cosh(r_hat * x)
     z_lim = brackets.mean_inv_qq * np.sinh(r_hat * x) / r_hat if r_hat > 0 \

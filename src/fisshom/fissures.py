@@ -80,11 +80,11 @@ class HalfPaths:
     def minus(self, s):
         return self.r(s) - 0.5 * self.q(s)
 
-    def plus_d(self, s, order: int = 1):
-        return self.r.derivative(s, order) + 0.5 * self.q.derivative(s, order)
+    def plus_d(self, s):
+        return self.r.derivative(s) + 0.5 * self.q.derivative(s)
 
-    def minus_d(self, s, order: int = 1):
-        return self.r.derivative(s, order) - 0.5 * self.q.derivative(s, order)
+    def minus_d(self, s):
+        return self.r.derivative(s) - 0.5 * self.q.derivative(s)
 
 
 @dataclass(frozen=True)
@@ -448,18 +448,19 @@ def fissure_volume_integral(fissures: list[Fissure], phi,
         * gauss_off[None, None, :, None]
     x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
         * gauss_off[None, None, None, :]
-    x3 = np.broadcast_to(x3_nodes[None, :, None, None], x1.shape)
-    vals = np.asarray(phi(x1, x2, x3), dtype=float)
-    vals = np.broadcast_to(vals, x1.shape)
-    cell_mean = vals.mean(axis=(2, 3))
+    shape = (len(fissures), len(x3_nodes), 2, 2)
+    x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
+    vals = np.broadcast_to(np.asarray(phi(x1, x2, x3), dtype=float), shape)
+    # x2 first: a value constant in x2 then averages to itself exactly
+    cell_mean = vals.mean(axis=3).mean(axis=2)
     area = eps * eps * q1 * q2
     per_fissure = (cell_mean * area * x3_w[None, :]).sum(axis=1)
     return fsum(per_fissure)
 
 
-def surface_integral(geometry: GeometryParams, phi, order: int = 24) -> float:
-    """Gauss tensor quadrature of phi(x1, x2, 0) over Sigma."""
-    xs, ws = gauss_legendre(order)
+def surface_integral(geometry: GeometryParams, phi) -> float:
+    """24 x 24-point Gauss tensor quadrature of phi(x1, x2, 0) over Sigma."""
+    xs, ws = gauss_legendre(24)
     (a1, b1), (a2, b2) = geometry.x1_extent, geometry.x2_extent
     x1 = a1 + (b1 - a1) * xs
     w1 = (b1 - a1) * ws

@@ -389,77 +389,87 @@ class ErgodicStats:
             raise ValueError("Cauchy-Schwarz violated: averaging bug")
 
 
-def _quad_nodes(T: float, window_len: float, max_freq: float, order: int = 6):
+# Window length of the path averages, in path time.
+WINDOW_LEN = 25.0
+
+
+def window_means(T: float, window_len: float, max_freq: float,
+                 weighted: Callable[[np.ndarray, np.ndarray], Sequence]
+                 ) -> list[np.ndarray]:
+    """Per-window means over [-T, T] of several integrands of one sample.
+
+    [-T, T] is cut into windows of about window_len, each integrated by
+    composite 6-point Gauss panels, at least two per period of max_freq.
+    weighted(nodes, weights) samples the paths once on a window's nodes and
+    returns the weighted samples of each integrand; entry k of the result
+    holds the window means of integrand k.
+    """
     W = max(4, int(math.ceil(2.0 * T / window_len)))
     edges = np.linspace(-T, T, W + 1)
-    L = edges[1] - edges[0]
-    # at least two Gauss panels per oscillation period inside each window
-    panels = max(4, int(math.ceil(L * max_freq / math.pi)))
-    return edges, panels, order
+    panels = max(4, int(math.ceil((edges[1] - edges[0]) * max_freq
+                                  / math.pi)))
+    rows = []
+    for k in range(W):
+        nodes, weights = panel_quadrature(edges[k], edges[k + 1], panels, 6)
+        L = edges[k + 1] - edges[k]
+        rows.append([fsum(v) / L for v in weighted(nodes, weights)])
+    return [np.array(col) for col in zip(*rows)]
 
 
 def ergodic_average(path: StationaryPath, T: float,
-                    transform: Callable[[np.ndarray], np.ndarray] | None = None,
-                    window_len: float = 25.0) -> BracketEstimate:
+                    transform: Callable[[np.ndarray], np.ndarray] | None = None
+                    ) -> BracketEstimate:
     """Windowed time average of transform(path) over [-T, T].
 
-    The window mean is computed per window by composite Gauss quadrature dense
-    enough for the path's highest frequency; the estimate is the mean of the
-    window means and stderr their standard error.  For a quasi-periodic path
-    the bias decays like 1/T while stderr decays like T^{-1/2} by construction.
+    The estimate is the mean of the window means of `window_means` and
+    stderr their standard error.  For a quasi-periodic path the bias decays
+    like 1/T while stderr decays like T^{-1/2} by construction.
     """
-    edges, panels, order = _quad_nodes(T, window_len, path.max_frequency)
-    W = len(edges) - 1
-    means = np.empty(W)
-    for k in range(W):
-        nodes, weights = panel_quadrature(edges[k], edges[k + 1], panels, order)
+    def weighted(nodes, weights):
         vals = np.asarray(path(nodes), dtype=float)
         if transform is not None:
             vals = transform(vals)
-        means[k] = fsum(weights * vals) / (edges[k + 1] - edges[k])
+        return (weights * vals,)
+
+    means, = window_means(T, WINDOW_LEN, path.max_frequency, weighted)
+    W = len(means)
     value = fsum(means) / W
-    stderr = float(np.std(means, ddof=1) / math.sqrt(W)) if W > 1 else 0.0
+    stderr = float(np.std(means, ddof=1) / math.sqrt(W))
     return BracketEstimate(value=value, stderr=stderr, window_T=T, n_windows=W)
 
 
 def estimate_brackets(q_path: StationaryPath, T: float,
                       r_path: StationaryPath | None = None,
-                      window_len: float = 25.0) -> ErgodicStats:
+                      window_len: float = WINDOW_LEN) -> ErgodicStats:
     """All path averages needed downstream, from one shared sample set.
 
     Sharing quadrature nodes between the q, q^2 and 1/q^2 estimates makes the
     discrete Jensen and Cauchy-Schwarz inequalities hold exactly, so the
     ErgodicStats invariants cannot trip on quadrature noise.
     """
-    edges, panels, order = _quad_nodes(T, window_len, q_path.max_frequency)
-    W = len(edges) - 1
-    m_q = np.empty(W)
-    m_q2 = np.empty(W)
-    m_iq2 = np.empty(W)
-    m_r = np.zeros(W)
-    for k in range(W):
-        nodes, weights = panel_quadrature(edges[k], edges[k + 1], panels, order)
-        L = edges[k + 1] - edges[k]
+    def weighted(nodes, weights):
         q = np.asarray(q_path(nodes), dtype=float)
-        m_q[k] = fsum(weights * q) / L
-        m_q2[k] = fsum(weights * q * q) / L
-        m_iq2[k] = fsum(weights / (q * q)) / L
+        out = [weights * q, weights * q * q, weights / (q * q)]
         if r_path is not None:
-            r = np.asarray(r_path(nodes), dtype=float)
-            m_r[k] = fsum(weights * r) / L
+            out.append(weights * np.asarray(r_path(nodes), dtype=float))
+        return out
+
+    m_q, m_q2, m_iq2, *m_r = window_means(T, window_len,
+                                          q_path.max_frequency, weighted)
+    W = len(m_q)
     sq = math.sqrt(W)
     stderr = max(float(np.std(a, ddof=1)) / sq for a in (m_q, m_q2, m_iq2))
     return ErgodicStats(
         mean_q=fsum(m_q) / W,
         mean_q2=fsum(m_q2) / W,
         mean_inv_q2=fsum(m_iq2) / W,
-        mean_r=fsum(m_r) / W,
+        mean_r=fsum(m_r[0]) / W if m_r else 0.0,
         window_T=T,
         stderr=stderr,
     )
 
 
-def constant_stats(q0: float, r0: float = 0.0) -> ErgodicStats:
-    """Exact stats for constant paths (no quadrature)."""
+def constant_stats(q0: float) -> ErgodicStats:
+    """Exact stats for a constant aperture path and no centerline drift."""
     return ErgodicStats(mean_q=q0, mean_q2=q0 * q0, mean_inv_q2=1.0 / (q0 * q0),
-                        mean_r=r0, window_T=math.inf, stderr=0.0)
+                        mean_r=0.0, window_T=math.inf, stderr=0.0)

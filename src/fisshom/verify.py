@@ -104,12 +104,12 @@ def _summarize(name: str, eps_values, metric_names, rows,
 
 @functools.lru_cache(maxsize=8)
 def reference_stats(params_q: ProcessParams,
-                    params_r: ProcessParams | None = None,
-                    T: float = 2.0e4) -> ErgodicStats:
-    """Long-run path averages used as the limit constants of the sweeps."""
+                    params_r: ProcessParams | None = None) -> ErgodicStats:
+    """Long-run path averages (T = 2e4) used as the limit constants of the
+    sweeps."""
     q = build_path(params_q)
     r = build_path(params_r) if params_r is not None else None
-    return estimate_brackets(q, T, r_path=r)
+    return estimate_brackets(q, 2.0e4, r_path=r)
 
 
 def _draw_paths(seed: int, trial: int, params_q: ProcessParams,
@@ -122,8 +122,9 @@ def _draw_paths(seed: int, trial: int, params_q: ProcessParams,
 
 
 def _single_fissure(geometry: GeometryParams, q_path, r_path,
-                    phases: PhaseSequence, i: int = 3, j: int = 5) -> Fissure:
-    """One tube of the field, built without enumerating the whole lattice."""
+                    phases: PhaseSequence) -> Fissure:
+    """Tube (3, 5) of the field, built without enumerating the lattice."""
+    i, j = 3, 5
     line_i = HalfPaths(q_path, r_path, float(phases.alpha(i)),
                        float(phases.beta(i)))
     line_j = HalfPaths(q_path, r_path, float(phases.alpha(j)),
@@ -198,8 +199,6 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                          n_realizations: int = 20, seed: int = 2027,
                          theta: float = 0.5, height: float = 1.0,
                          test_field=(0.7, -0.4, 0.9),
-                         mu_fissure: float = 0.05, slip_gamma: float = 0.05,
-                         k_plus: float = 1.3, k_minus: float = 0.8,
                          params_q: ProcessParams = APERTURE_FAST,
                          params_r: ProcessParams = CENTERLINE_DEFAULT,
                          phase_bound: float = PHASE_BOUND,
@@ -223,8 +222,11 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     lattice (all tubes sample the aperture inside one phase window), so the
     slip piece alone carries a realization-dependent offset.  With the
     default weights that offset is a small fraction of the total and the
-    uncovered boundary ring dominates the trend.
+    uncovered boundary ring dominates the trend.  The weights are the
+    fissure viscosity mu_f = 0.05, the slip coefficient gamma = 0.05 and the
+    bed permeabilities 1.3 (upper) and 0.8 (lower).
     """
+    mu_fissure, slip_gamma = 0.05, 0.05
     stats = reference_stats(params_q, params_r)
     cell = drag if drag is not None else solve_stokes_cell(96)
     k0 = cell.k0
@@ -233,7 +235,7 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     c = np.linalg.solve(cell.K_f, v_tau)
     tan_coeff = float(c @ cell.gram @ c)
     slip_mat = np.zeros((2, 2))
-    for k_bed in (k_plus, k_minus):
+    for k_bed in (1.3, 0.8):
         slip_mat += sym_inv_sqrt(compute_kstar(stats, k_bed)[:2, :2])
     slip_coeff = float(v_tau @ slip_mat @ v_tau)
 
@@ -273,16 +275,15 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
 def limit_profile_sweep(eps_values=(1e-1, 1e-2, 1e-3),
                         n_realizations: int = 20, seed: int = 2028,
                         theta: float = 0.5, height: float = 1.0,
-                        diffusion: float = 1.0, reaction: float = 1.0,
                         params_q: ProcessParams = APERTURE_FAST,
                         params_r: ProcessParams = CENTERLINE_DEFAULT,
-                        phase_bound: float = PHASE_BOUND,
-                        bracket_T: float = 2.0e3) -> SweepSummary:
+                        phase_bound: float = PHASE_BOUND) -> SweepSummary:
     """Fundamental pair of the tube equation against the averaged profiles.
 
-    Zero drift by construction: the averaged limit is only stated for the
-    reaction-diffusion balance.  The per-tube brackets drive the comparison,
-    so the errors measure the finite-scale averaging alone.
+    Unit diffusion and reaction, and zero drift by construction: the
+    averaged limit is only stated for the reaction-diffusion balance.  The
+    per-tube brackets drive the comparison, so the errors measure the
+    finite-scale averaging alone.
     """
     metric_names = ("err_w", "err_z", "err_w_flux", "err_z_flux")
     rows: list[dict] = []
@@ -293,12 +294,11 @@ def limit_profile_sweep(eps_values=(1e-1, 1e-2, 1e-3),
         for eps in eps_values:
             geometry = GeometryParams(epsilon=eps, theta=theta, height=height)
             fissure = _single_fissure(geometry, q, r, phases)
-            cfg = FissureODEConfig(fissure, diffusion=diffusion,
-                                   reaction=reaction)
+            cfg = FissureODEConfig(fissure, diffusion=1.0, reaction=1.0)
             if brackets is None:
                 # The stretched product path does not depend on eps, so one
                 # bracket estimate serves the whole ladder.
-                brackets = pair_brackets(cfg, T=bracket_T)
+                brackets = pair_brackets(cfg)
             comp = limit_comparison(cfg, brackets)
             rows.append({"eps": eps, "trial": trial,
                          "err_w": comp.err_w, "err_z": comp.err_z,
@@ -308,25 +308,27 @@ def limit_profile_sweep(eps_values=(1e-1, 1e-2, 1e-3),
                       n_realizations)
 
 
-def limit_profile_constant_gap(q0: float = 0.5, height: float = 1.0,
-                               diffusion: float = 0.9, reaction: float = 1.3,
-                               eps: float = 0.01, theta: float = 0.5) -> float:
-    """Largest of the four profile distances for a constant aperture, where
-    the averaged limit is exact."""
-    fissure = _constant_fissure(q0, height, eps, theta)
-    cfg = FissureODEConfig(fissure, diffusion=diffusion, reaction=reaction)
-    brackets = PairBrackets(mean_qq=q0 * q0, mean_inv_qq=1.0 / (q0 * q0))
-    comp = limit_comparison(cfg, brackets)
-    return float(np.max(comp.as_array()))
+# Aperture of the constant tube, where the averaged limit is exact.
+_CONST_Q0 = 0.5
 
 
-def _constant_fissure(q0: float, height: float, eps: float,
-                      theta: float) -> Fissure:
-    geometry = GeometryParams(epsilon=eps, theta=theta, height=height)
-    q = build_path(ProcessParams(kind="constant", mean=q0))
+def _constant_tube() -> FissureODEConfig:
+    """Constant-aperture tube at eps = 0.01 (theta 0.5, height 1) with
+    diffusion 0.9 and reaction 1.3."""
+    geometry = GeometryParams(epsilon=0.01, theta=0.5, height=1.0)
+    q = build_path(ProcessParams(kind="constant", mean=_CONST_Q0))
     r = build_path(ProcessParams(kind="constant", mean=0.0))
     line = HalfPaths(q, r, 0.0, 0.0)
-    return Fissure(i=0, j=0, geometry=geometry, line_x1=line, line_x2=line)
+    fissure = Fissure(i=0, j=0, geometry=geometry, line_x1=line, line_x2=line)
+    return FissureODEConfig(fissure, diffusion=0.9, reaction=1.3)
+
+
+def limit_profile_constant_gap() -> float:
+    """Largest of the four profile distances for the constant tube."""
+    q0 = _CONST_Q0
+    brackets = PairBrackets(mean_qq=q0 * q0, mean_inv_qq=1.0 / (q0 * q0))
+    comp = limit_comparison(_constant_tube(), brackets)
+    return float(np.max(comp.as_array()))
 
 
 def flux_exchange_sweep(eps_values=(1e-1, 1e-2, 1e-3),
@@ -334,8 +336,7 @@ def flux_exchange_sweep(eps_values=(1e-1, 1e-2, 1e-3),
                         theta: float = 0.5, height: float = 1.0,
                         params_q: ProcessParams = APERTURE_FAST,
                         params_r: ProcessParams = CENTERLINE_DEFAULT,
-                        phase_bound: float = PHASE_BOUND,
-                        bracket_T: float = 2.0e3) -> SweepSummary:
+                        phase_bound: float = PHASE_BOUND) -> SweepSummary:
     """Resolved interface fluxes against the transmission coefficients.
 
     Each trial draws a diffusivity, reaction rate and trace pair, solves the
@@ -359,7 +360,7 @@ def flux_exchange_sweep(eps_values=(1e-1, 1e-2, 1e-3),
             cfg = FissureODEConfig(fissure, diffusion=diffusion,
                                    reaction=reaction)
             if brackets is None:
-                brackets = pair_brackets(cfg, T=bracket_T)
+                brackets = pair_brackets(cfg)
                 coeffs = transmission_coeffs(
                     diffusion, reaction, 0.0, height,
                     brackets.mean_qq, brackets.mean_inv_qq)
@@ -374,16 +375,15 @@ def flux_exchange_sweep(eps_values=(1e-1, 1e-2, 1e-3),
                       n_realizations)
 
 
-def flux_exchange_constant_gap(q0: float = 0.5, height: float = 1.0,
-                               diffusion: float = 0.9, reaction: float = 1.3,
-                               u_plus: float = 1.2, u_minus: float = 0.3,
-                               eps: float = 0.01, theta: float = 0.5) -> float:
-    """Largest relative flux gap for a constant aperture (closed form is
-    exact there)."""
-    fissure = _constant_fissure(q0, height, eps, theta)
-    cfg = FissureODEConfig(fissure, diffusion=diffusion, reaction=reaction)
-    coeffs = transmission_coeffs(diffusion, reaction, 0.0, height,
+def flux_exchange_constant_gap() -> float:
+    """Largest relative flux gap for the constant tube under the traces
+    u_plus = 1.2, u_minus = 0.3 (the closed form is exact there)."""
+    q0 = _CONST_Q0
+    cfg = _constant_tube()
+    coeffs = transmission_coeffs(cfg.diffusion, cfg.reaction, 0.0,
+                                 cfg.fissure.geometry.height,
                                  q0 * q0, 1.0 / (q0 * q0))
+    u_plus, u_minus = 1.2, 0.3
     top, bottom = fine_interface_fluxes(cfg, u_plus, u_minus)
     ref_top = coeffs.flux_top(u_plus, u_minus)
     ref_bottom = coeffs.flux_bottom(u_plus, u_minus)

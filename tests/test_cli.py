@@ -68,6 +68,16 @@ def test_value_errors_carry_key_path():
                           "    frequencies_per_length: [1.0, 2.0]\n")
     with pytest.raises(ConfigError, match=r"flow\.bc_kind"):
         parse_config(text="flow:\n  bc_kind: slippery\n")
+    with pytest.raises(ConfigError, match=r"geometry\.epsilon.*finite"):
+        parse_config(text="geometry:\n  epsilon: .nan\n")
+    with pytest.raises(ConfigError, match=r"flow\.p_top.*finite"):
+        parse_config(text="flow:\n  p_top: .nan\n")
+    with pytest.raises(ConfigError, match=r"transport\.bc_plus.*finite"):
+        parse_config(text="transport:\n  bc_plus: -.inf\n")
+    with pytest.raises(ConfigError, match=r"flow\.shape.*4 entries"):
+        parse_config(text="flow:\n  shape: 8\n")
+    with pytest.raises(ConfigError, match=r"transport\.shape.*4 entries"):
+        parse_config(text="transport:\n  shape: 8\n")
 
 
 def test_yaml_syntax_error_carries_line():
@@ -189,6 +199,18 @@ def test_crashed_stage_still_writes_manifest(tmp_path, monkeypatch):
                                                   "skipped"]
     assert steps["flow"]["detail"] == "TypeError: unexpected argument"
     assert set(man["files"]) == {"cell.json"}
+
+
+def test_nan_gate_value_fails_the_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "mass_balance_gap", lambda sol: float("nan"))
+    out = tmp_path / "out"
+    assert run(small_config(out), "transport") == 4
+    man = json.loads((out / "manifest.json").read_text())
+    steps = {s["name"]: s for s in man["steps"]}
+    assert [s["status"] for s in man["steps"]] == ["ok", "ok",
+                                                  "check_failed"]
+    assert steps["transport"]["detail"].startswith(
+        "transport balance gap nan")
 
 
 def test_run_rejects_unknown_subcommand(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for fissure geometry, enumeration, charts, and measure quadrature."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ def test_wall_vanishing_field_poincare_ratio():
         ratio = num / den
         bound = geo.epsilon**2 * 0.7**2 / math.pi**2
         assert ratio <= bound * 1.01
+
+
+def test_volume_integral_of_x2_dependent_functions():
+    # constant tubes have square cross-sections of side 2a = eps q0 around
+    # their lattice nodes, where the 2x2 Gauss rule is exact for these
+    # polynomials
+    eps, q0, height = 0.0625, 0.5, 1.0
+    a = 0.5 * eps * q0
+    tubes = [constant_fissure(), replace(constant_fissure(), i=3, j=5)]
+    cases = [(lambda x1, x2, x3: x2 ** 2,
+              lambda c1, c2: 2 * a * (2 * a * c2 ** 2 + 2 * a ** 3 / 3)),
+             (lambda x1, x2, x3: x1 * x2,
+              lambda c1, c2: (2 * a * c1) * (2 * a * c2))]
+    for phi, exact in cases:
+        ref = sum(height * exact(f.i * eps, f.j * eps) for f in tubes)
+        assert fissure_volume_integral(tubes, phi) \
+            == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_surface_integral_reference_values():

@@ -4,8 +4,9 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fisshom._numerics import gauss_legendre
+from fisshom._numerics import gauss_legendre, solve_sparse, solve_spd
 
 
 @pytest.mark.parametrize("order", [2, 6, 24])
@@ -21,3 +22,12 @@ def test_gauss_legendre_is_cached_read_only_and_exact(order):
             arr[0] = 0.0
     # a plain function, so per-layer tracing can still wrap and count it
     assert inspect.isfunction(gauss_legendre)
+
+
+@pytest.mark.parametrize("solve", [lambda A, b: solve_sparse(A, b)[0],
+                                   solve_spd], ids=["sparse", "spd"])
+def test_residual_gate_rejects_nan(solve):
+    # a NaN residual compares False with any bound, so the gate must
+    # fail closed
+    with pytest.raises(RuntimeError, match="residual nan"):
+        solve(sp.identity(2, format="csr"), np.array([1.0, np.nan]))
