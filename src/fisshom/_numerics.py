@@ -99,13 +99,14 @@ def positive_diagonal(value, n: int, label: str) -> np.ndarray:
     elif arr.shape == (n,):
         diag = arr.copy()
     elif arr.shape == (n, n):
-        off = arr - np.diag(np.diag(arr))
-        if np.max(np.abs(off)) > 1e-10 * (np.max(np.abs(arr)) + 1e-300):
+        off = arr[~np.eye(n, dtype=bool)]
+        # written so that NaN fails: it compares False with any bound
+        if not np.max(np.abs(off)) <= 1e-10 * (np.max(np.abs(arr)) + 1e-300):
             raise ValueError(f"{label} must be diagonal for two-point fluxes")
         diag = np.diag(arr).copy()
     else:
         raise ValueError(f"{label} must be a scalar, length-{n}, or {n}x{n}")
-    if np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise ValueError(f"{label} must be positive definite")
     return diag
 

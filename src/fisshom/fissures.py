@@ -1,4 +1,4 @@
-"""Random fissure geometry: lattice enumeration, apertures, curvilinear charts.
+"""Random fissure geometry: lattice enumeration, apertures, measure quadrature.
 
 A fissure field places one thin vertical tube near each node of an
 eps-periodic lattice on the mid-plane rectangle Sigma.  Tube (i, j) occupies
@@ -11,17 +11,15 @@ from one aperture path q and one centerline path r, sampled at iid stationary
 phase shifts per lattice line.  theta in (0, 2/3) compresses the depth
 variation so the wall slope vanishes with eps.
 
-The curvilinear chart straightens one tube: reference coordinates
-(y1, y2, t) in (-eps/2, eps/2)^2 x (-height, 0) map to physical coordinates
-through the half-opening paths evaluated at a sheared depth.  The vertical
-shear solves two one-dimensional characteristic equations whose right sides
-are the wall slopes; by construction the leading off-diagonal metric entries
-cancel, leaving a residual of order eps^{2(1-theta)}.
+An n1 x n2 field therefore has only n1 + n2 distinct lines.  It is stored
+by line (FissureField): the phases of each line are drawn once, and the
+tube-union quadratures sample each line once on the depth grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +48,6 @@ class GeometryParams:
             if ext[1] <= ext[0]:
                 raise ValueError("extents must be increasing intervals")
 
-    @property
-    def shear_scale(self) -> float:
-        """Magnitude eps^{2(1-theta)} of the chart shear."""
-        return self.epsilon ** (2.0 * (1.0 - self.theta))
-
     def stretched_depth(self, x3):
         """Path argument s = -x3 * eps^(-theta) for x3 in (-height, 0)."""
         return -np.asarray(x3) * self.epsilon ** (-self.theta)
@@ -62,7 +55,7 @@ class GeometryParams:
 
 class HalfPaths:
     """Half-opening pair a^{+-}(s) = r(s + beta) +- q(s + alpha)/2 for one
-    lattice line, with derivatives to third order."""
+    lattice line."""
 
     def __init__(self, q_path: StationaryPath, r_path: StationaryPath,
                  alpha: float, beta: float):
@@ -79,12 +72,6 @@ class HalfPaths:
 
     def minus(self, s):
         return self.r(s) - 0.5 * self.q(s)
-
-    def plus_d(self, s):
-        return self.r.derivative(s) + 0.5 * self.q.derivative(s)
-
-    def minus_d(self, s):
-        return self.r.derivative(s) - 0.5 * self.q.derivative(s)
 
 
 @dataclass(frozen=True)
@@ -130,15 +117,66 @@ def certified_offsets(q_path: StationaryPath, r_path: StationaryPath
     return (r_lo - 0.5 * q_hi, r_hi + 0.5 * q_hi)
 
 
+class FissureField(Sequence):
+    """The tubes of one lattice, stored by line.
+
+    Tube (i, j) is bounded by line i in x1 and line j in x2; a line's
+    shifts depend only on its index, so both axes share one HalfPaths per
+    index.  Length, indexing, slicing and iteration follow the row-major
+    (i, j) tube order and yield Fissure views.
+    """
+
+    def __init__(self, geometry: GeometryParams, rows: range, cols: range,
+                 lines: dict[int, HalfPaths]):
+        self.geometry = geometry
+        self.rows = rows
+        self.cols = cols
+        self.lines = lines
+
+    def _tube(self, i: int, j: int) -> Fissure:
+        return Fissure(i=i, j=j, geometry=self.geometry,
+                       line_x1=self.lines[i], line_x2=self.lines[j])
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.cols)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(len(self))[key]]
+        k = range(len(self))[key]
+        n2 = len(self.cols)
+        return self._tube(self.rows[k // n2], self.cols[k % n2])
+
+    def __iter__(self):
+        for i in self.rows:
+            for j in self.cols:
+                yield self._tube(i, j)
+
+    def line_table(self) -> tuple[list[HalfPaths], np.ndarray, np.ndarray]:
+        """The table distinct_lines returns, read off the index ranges."""
+        position = {n: k for k, n in enumerate(self.lines)}
+        p1 = np.array([position[i] for i in self.rows], dtype=np.intp)
+        p2 = np.array([position[j] for j in self.cols], dtype=np.intp)
+        n1, n2 = len(p1), len(p2)
+        pairs = np.column_stack((np.repeat(p1, n2), np.tile(p2, n1)))
+        eps = self.geometry.epsilon
+        centers = np.column_stack(
+            (np.repeat(np.array(self.rows, dtype=np.int64) * eps, n2),
+             np.tile(np.array(self.cols, dtype=np.int64) * eps, n1)))
+        return list(self.lines.values()), pairs, centers
+
+
 def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
                        r_path: StationaryPath, phases: PhaseSequence
-                       ) -> list[Fissure]:
+                       ) -> FissureField:
     """All fissures whose certified slab is contained in the extents.
 
     Membership uses the shift-invariant enclosure, so it is deterministic and
     conservative: a kept fissure is contained for every realization of the
     phases.  Raises when the enclosure allows neighboring tubes to overlap
-    (the model hypotheses exclude that regime).
+    (the model hypotheses exclude that regime).  The phases are drawn once
+    per line, one window per axis, and each lattice index gets one
+    HalfPaths.
     """
     a_lo, a_hi = certified_offsets(q_path, r_path)
     if a_hi >= 0.5 or a_lo <= -0.5:
@@ -152,28 +190,30 @@ def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
         hi = math.floor(extent[1] / eps - a_hi + 1e-12)
         return range(lo, hi + 1)
 
-    out = []
-    for i in index_range(geometry.x1_extent):
-        hp_i = HalfPaths(q_path, r_path, float(phases.alpha(i)),
-                         float(phases.beta(i)))
-        for j in index_range(geometry.x2_extent):
-            hp_j = HalfPaths(q_path, r_path, float(phases.alpha(j)),
-                             float(phases.beta(j)))
-            out.append(Fissure(i=i, j=j, geometry=geometry,
-                               line_x1=hp_i, line_x2=hp_j))
-    return out
+    rows = index_range(geometry.x1_extent)
+    cols = index_range(geometry.x2_extent)
+    lines: dict[int, HalfPaths] = {}
+    for indices in (rows, cols):
+        alpha, beta = phases.window(indices.start, indices.stop)
+        for n, a, b in zip(indices, alpha.tolist(), beta.tolist()):
+            if n not in lines:
+                lines[n] = HalfPaths(q_path, r_path, a, b)
+    return FissureField(geometry, rows, cols, lines)
 
 
-def distinct_lines(fissures: list[Fissure]
+def distinct_lines(fissures: Sequence[Fissure]
                    ) -> tuple[list[HalfPaths], np.ndarray, np.ndarray]:
-    """Distinct half-opening lines of a tube list.
+    """Distinct half-opening lines of a tube collection.
 
     Returns the lines, an (F, 2) array of each tube's x1 and x2 line index
-    into them, and the (F, 2) tube centres.  A line is keyed by its value,
-    (q base path, q shift, r base path, r shift), so tubes built with
-    separate but equal HalfPaths share one entry: an n x n field needs at
-    most 2n line evaluations, not 2n^2.
+    into them, and the (F, 2) tube centres.  A FissureField hands over its
+    own table.  In any other tube list a line is keyed by its value, (q
+    base path, q shift, r base path, r shift), so tubes built with separate
+    but equal HalfPaths share one entry: an n x n field needs at most 2n
+    line evaluations, not 2n^2.
     """
+    if isinstance(fissures, FissureField):
+        return fissures.line_table()
     lines: list[HalfPaths] = []
     index: dict = {}
     pairs = np.empty((len(fissures), 2), dtype=np.intp)
@@ -203,7 +243,7 @@ def depth_quadrature(geometry: GeometryParams, lines: list[HalfPaths],
     return panel_quadrature(-geometry.height, 0.0, n_panels, order=6)
 
 
-def fissure_census(fissures: list[Fissure]) -> np.ndarray:
+def fissure_census(fissures: Sequence[Fissure]) -> np.ndarray:
     """Structured array with one row per fissure (for reports and CSV)."""
     dt = np.dtype([("i", np.int64), ("j", np.int64),
                    ("alpha_i", float), ("alpha_j", float),
@@ -218,201 +258,10 @@ def fissure_census(fissures: list[Fissure]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# curvilinear chart
-
-
-def _wall_slope(hp: HalfPaths, zeta: float, w: float) -> float:
-    """Characteristic right side: the combination of wall slopes whose
-    cancellation keeps the chart near-orthogonal.
-
-    Equals -[a_plus'(w) (1/2 + yhat) + a_minus'(w) (1/2 - yhat)] when zeta is
-    the image of the reference offset yhat, but is defined for any zeta.
-    """
-    q = hp.width(w)
-    return (hp.minus_d(w) * (zeta - hp.plus(w))
-            - hp.plus_d(w) * (zeta - hp.minus(w))) / q
-
-
-@dataclass
-class PsiValue:
-    """Vertical shear value and first derivatives at one chart point."""
-
-    psi: float
-    d_zeta1: float
-    d_zeta2: float
-    d_tau: float
-    cross_residual: float
-
-
-def _integrate_shear(hp: HalfPaths, zeta: float, tau: float, scale: float,
-                     step_hint: float) -> float:
-    """psi^1(zeta; tau): RK4 on d psi / d z = scale * slope(z, tau + psi)."""
-    if zeta == 0.0:
-        return 0.0
-    n_steps = max(4, int(math.ceil(abs(zeta) / step_hint)))
-    hstep = zeta / n_steps
-    psi = 0.0
-    z = 0.0
-    for _ in range(n_steps):
-        k1 = scale * _wall_slope(hp, z, tau + psi)
-        k2 = scale * _wall_slope(hp, z + 0.5 * hstep, tau + psi + 0.5 * hstep * k1)
-        k3 = scale * _wall_slope(hp, z + 0.5 * hstep, tau + psi + 0.5 * hstep * k2)
-        k4 = scale * _wall_slope(hp, z + hstep, tau + psi + hstep * k3)
-        psi += hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        z += hstep
-    return psi
-
-
-def solve_psi(fissure: Fissure, zeta1: float, zeta2: float, tau: float
-              ) -> PsiValue:
-    """Vertical shear psi = tau + psi1(zeta1; tau) + psi2(zeta2; tau).
-
-    The additive split turns the shear equation into two independent
-    characteristic equations, one per horizontal direction; the coupling they
-    ignore is of order shear_scale^2 and is reported as cross_residual.
-    """
-    geo = fissure.geometry
-    scale = geo.shear_scale
-    step = scale / 10.0
-    p1 = _integrate_shear(fissure.line_x1, zeta1, tau, scale, step)
-    p2 = _integrate_shear(fissure.line_x2, zeta2, tau, scale, step)
-    psi = tau + p1 + p2
-    d1 = scale * _wall_slope(fissure.line_x1, zeta1, tau + p1)
-    d2 = scale * _wall_slope(fissure.line_x2, zeta2, tau + p2)
-    cross = scale * (abs(_wall_slope(fissure.line_x1, zeta1, psi)
-                         - _wall_slope(fissure.line_x1, zeta1, tau + p1))
-                     + abs(_wall_slope(fissure.line_x2, zeta2, psi)
-                           - _wall_slope(fissure.line_x2, zeta2, tau + p2)))
-    # d psi / d tau by central differences on the two shear equations
-    dt = 1e-5 * (1.0 + abs(tau))
-    pp = (_integrate_shear(fissure.line_x1, zeta1, tau + dt, scale, step)
-          + _integrate_shear(fissure.line_x2, zeta2, tau + dt, scale, step))
-    pm = (_integrate_shear(fissure.line_x1, zeta1, tau - dt, scale, step)
-          + _integrate_shear(fissure.line_x2, zeta2, tau - dt, scale, step))
-    d_tau = 1.0 + (pp - pm) / (2.0 * dt)
-    return PsiValue(psi=psi, d_zeta1=d1, d_zeta2=d2, d_tau=d_tau,
-                    cross_residual=cross)
-
-
-class CurvilinearChart:
-    """Straightening chart of one fissure.
-
-    forward maps reference (y1, y2, t) with |y| < eps/2, t in (-height, 0) to
-    physical (x1, x2, x3); inverse undoes it.  metric returns the pulled-back
-    metric tensor J^T J at a reference point, jacobian_factor the volume
-    factor of the associated straightened integral, positive for admissible
-    geometry.
-    """
-
-    def __init__(self, fissure: Fissure):
-        self.fissure = fissure
-        self.geo = fissure.geometry
-
-    def _horizontal(self, sigma: float, y1: float, y2: float):
-        eps = self.geo.epsilon
-        f = self.fissure
-        out = []
-        for axis, y, base in ((0, y1, f.i * eps), (1, y2, f.j * eps)):
-            hp = f.line(axis)
-            out.append(base + hp.plus(sigma) * (0.5 * eps + y)
-                       + hp.minus(sigma) * (0.5 * eps - y))
-        return out
-
-    def forward(self, y: np.ndarray) -> np.ndarray:
-        y1, y2, t = map(float, y)
-        eps = self.geo.epsilon
-        tau = -t * eps ** (-self.geo.theta)
-        f = self.fissure
-        sigma = tau
-        for _ in range(60):
-            x1, x2 = self._horizontal(sigma, y1, y2)
-            zeta1 = x1 / eps - f.i
-            zeta2 = x2 / eps - f.j
-            new_sigma = solve_psi(f, zeta1, zeta2, tau).psi
-            if abs(new_sigma - sigma) <= 1e-12 * (1.0 + abs(sigma)):
-                sigma = new_sigma
-                break
-            sigma = new_sigma
-        else:
-            raise RuntimeError("chart forward fixed point did not converge")
-        x1, x2 = self._horizontal(sigma, y1, y2)
-        x3 = -sigma * eps ** self.geo.theta
-        return np.array([x1, x2, x3])
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = map(float, x)
-        eps = self.geo.epsilon
-        f = self.fissure
-        zeta1 = x1 / eps - f.i
-        zeta2 = x2 / eps - f.j
-        sigma = -x3 * eps ** (-self.geo.theta)
-        tau = sigma
-        for _ in range(60):
-            val = solve_psi(f, zeta1, zeta2, tau)
-            resid = val.psi - sigma
-            if abs(resid) <= 1e-13 * (1.0 + abs(sigma)):
-                break
-            tau -= resid / val.d_tau
-        else:
-            raise RuntimeError("chart inverse Newton did not converge")
-        t = -tau * eps ** self.geo.theta
-        ys = []
-        for axis, xval, idx in ((0, x1, f.i), (1, x2, f.j)):
-            hp = f.line(axis)
-            mid = 0.5 * (hp.plus(sigma) + hp.minus(sigma))
-            ys.append((xval - idx * eps - eps * mid) / hp.width(sigma))
-        return np.array([ys[0], ys[1], t])
-
-    def metric(self, y: np.ndarray) -> np.ndarray:
-        """Pulled-back metric J^T J by implicit differentiation of the chart
-        equations; exactly diag(q1^2, q2^2, 1) for constant paths."""
-        y1, y2, t = map(float, y)
-        x = self.forward(y)
-        eps = self.geo.epsilon
-        theta = self.geo.theta
-        f = self.fissure
-        sigma = -x[2] * eps ** (-theta)
-        tau = -t * eps ** (-theta)
-        zeta1 = x[0] / eps - f.i
-        zeta2 = x[1] / eps - f.j
-        val = solve_psi(f, zeta1, zeta2, tau)
-
-        hp1, hp2 = f.line_x1, f.line_x2
-        # dF_horizontal / d x3 through the stretched depth
-        b1 = eps ** (-theta) * (hp1.plus_d(sigma) * (0.5 * eps + y1)
-                                + hp1.minus_d(sigma) * (0.5 * eps - y1))
-        b2 = eps ** (-theta) * (hp2.plus_d(sigma) * (0.5 * eps + y2)
-                                + hp2.minus_d(sigma) * (0.5 * eps - y2))
-        c1 = eps ** (theta - 1.0) * val.d_zeta1
-        c2 = eps ** (theta - 1.0) * val.d_zeta2
-        M = np.array([[1.0, 0.0, b1],
-                      [0.0, 1.0, b2],
-                      [c1, c2, 1.0]])
-        D = np.diag([hp1.width(sigma), hp2.width(sigma), val.d_tau])
-        J = np.linalg.solve(M, D)
-        g = J.T @ J
-        return 0.5 * (g + g.T)
-
-    def jacobian_factor(self, y: np.ndarray) -> float:
-        """Volume factor 1 + psi_zeta1 * slope1 + psi_zeta2 * slope2 of the
-        straightened integral; must stay positive."""
-        y1, y2, t = map(float, y)
-        x = self.forward(y)
-        eps = self.geo.epsilon
-        f = self.fissure
-        tau = -t * eps ** (-self.geo.theta)
-        zeta1 = x[0] / eps - f.i
-        zeta2 = x[1] / eps - f.j
-        val = solve_psi(f, zeta1, zeta2, tau)
-        return (1.0 + val.d_zeta1 * _wall_slope(f.line_x1, zeta1, val.psi)
-                + val.d_zeta2 * _wall_slope(f.line_x2, zeta2, val.psi))
-
-
-# ---------------------------------------------------------------------------
 # fissure-measure quadrature
 
 
-def fissure_volume_integral(fissures: list[Fissure], phi,
+def fissure_volume_integral(fissures: Sequence[Fissure], phi,
                             panels_per_period: float = 4.0) -> float:
     """Integral of phi over the union of fissure tubes.
 

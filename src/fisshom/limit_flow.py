@@ -307,7 +307,7 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
 
     if bc.kind == "closed":
         scale = float(np.max(np.abs(b)) + np.max(np.abs(coo.data)))
-        if abs(b.sum()) > 1e-10 * (scale + 1.0):
+        if not abs(b.sum()) <= 1e-10 * (scale + 1.0):
             raise ValueError("net source must vanish for closed boundaries")
         gauge = np.zeros(n_tot, dtype=bool)
         gauge[0] = True
@@ -379,9 +379,9 @@ class TangentialConfig:
         r = (self.mu_fissure / self.mean_q ** 2) * np.linalg.inv(k_f) \
             + (self.slip_gamma / self.height) * slip
         off = abs(r[0, 1]) + abs(r[1, 0])
-        if off > 1e-12 * (np.max(np.abs(r)) + 1e-300):
+        if not off <= 1e-12 * (np.max(np.abs(r)) + 1e-300):
             raise ValueError("tangential resistance must be diagonal")
-        if r[0, 0] <= 0 or r[1, 1] <= 0:
+        if not (r[0, 0] > 0 and r[1, 1] > 0):
             raise ValueError("tangential resistance must be positive")
         return np.array([r[0, 0], r[1, 1]])
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,7 +173,8 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                       n_realizations)
 
 
-def _pair_averages(fissures: list[Fissure], panels_per_period: float = 6.0):
+def _pair_averages(fissures: Sequence[Fissure],
+                   panels_per_period: float = 6.0):
     """Per-fissure height averages of the aperture product, its reciprocal,
     and the product at the interface plane.
 

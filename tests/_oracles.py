@@ -5,10 +5,10 @@ The torsion constants come from two independent classical series that agree
 to 2.7e-13; the aperture-path averages come from 2D torus quadrature at two
 resolutions agreeing to ~1e-12.
 
-The per-tube quadrature loops at the end are the retained references of the
+The per-tube loops at the end are the retained references of the
 line-factored fast paths in `fisshom.fissures` and `fisshom.verify`: they
-evaluate the four half-opening paths of every tube separately, and the fast
-paths must reproduce them bit for bit.
+draw the phases and evaluate the four half-opening paths of every tube
+separately, and the fast paths must reproduce them bit for bit.
 """
 
 import math
@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from fisshom._numerics import fsum, gauss_legendre, panel_quadrature
+from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
 K0_SQUARE = 0.0351442537385
@@ -74,7 +75,30 @@ def laminate_tensor_1d(k_func, axis: int, dim: int, n_quad: int = 4001):
 
 
 # ---------------------------------------------------------------------------
-# per-tube references of the tube-union quadratures
+# per-tube references of the lattice enumeration and tube-union quadratures
+
+
+def enumerate_per_tube(geometry, q_path, r_path, phases):
+    """`enumerate_fissures` as a list, drawing both lines' phases and
+    building both HalfPaths afresh for every tube."""
+    a_lo, a_hi = certified_offsets(q_path, r_path)
+    eps = geometry.epsilon
+
+    def index_range(extent):
+        lo = math.ceil(extent[0] / eps - a_lo - 1e-12)
+        hi = math.floor(extent[1] / eps - a_hi + 1e-12)
+        return range(lo, hi + 1)
+
+    out = []
+    for i in index_range(geometry.x1_extent):
+        hp_i = HalfPaths(q_path, r_path, float(phases.alpha(i)),
+                         float(phases.beta(i)))
+        for j in index_range(geometry.x2_extent):
+            hp_j = HalfPaths(q_path, r_path, float(phases.alpha(j)),
+                             float(phases.beta(j)))
+            out.append(Fissure(i=i, j=j, geometry=geometry,
+                               line_x1=hp_i, line_x2=hp_j))
+    return out
 
 
 def _depth_quadrature(fissures, panels_per_period):

@@ -1,4 +1,4 @@
-"""Tests for fissure geometry, enumeration, charts, and measure quadrature."""
+"""Tests for fissure geometry, enumeration, and measure quadrature."""
 
 import math
 from dataclasses import replace
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import enumerate_per_tube
 from fisshom.fissures import (
-    CurvilinearChart,
     Fissure,
     GeometryParams,
     HalfPaths,
@@ -19,9 +19,9 @@ from fisshom.fissures import (
     enumerate_fissures,
     fissure_census,
     fissure_volume_integral,
-    solve_psi,
     surface_integral,
 )
+from fisshom import verify
 from fisshom.stochastic import PhaseSequence, ProcessParams, build_path
 
 Q_PARAMS = ProcessParams(kind="aperture_q", mean=0.5, amplitudes=(0.08, 0.05),
@@ -115,9 +115,9 @@ def test_distinct_lines_keys_lines_by_value():
                          x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
     fissures = enumerate_fissures(geo, q, r, ph)
     lines, pairs, centers = distinct_lines(fissures)
-    # enumeration builds fresh HalfPaths per tube; line i of either axis
-    # carries the shifts of index i, so the distinct lines are the union
-    # of the two index ranges
+    # the field builds one HalfPaths per lattice index, shared by line i
+    # of either axis, so the distinct lines are the union of the two index
+    # ranges
     indices = {f.i for f in fissures} | {f.j for f in fissures}
     assert len(lines) == len(indices)
     assert pairs.shape == centers.shape == (len(fissures), 2)
@@ -136,6 +136,75 @@ def test_distinct_lines_keys_lines_by_value():
     assert len(lines) == 2 and tuple(pairs[0]) == (0, 1)
 
 
+def _field_cases():
+    """Unequal x1/x2 extents, disjoint ones, and the unit square that the
+    pipeline's sweeps and fissure stage enumerate."""
+    _, q, r, ph = make_field()
+    unequal = GeometryParams(epsilon=0.125, theta=0.5, height=1.0,
+                             x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
+    disjoint = GeometryParams(epsilon=0.1, theta=0.5, height=1.0,
+                              x1_extent=(-2.0, -1.0), x2_extent=(0.5, 1.7))
+    q_fast = build_path(verify.APERTURE_FAST)
+    r_fast = build_path(verify.CENTERLINE_DEFAULT)
+    unit = GeometryParams(epsilon=1 / 16, theta=0.5, height=1.0)
+    return [(unequal, q, r, ph), (disjoint, q, r, ph),
+            (unit, q_fast, r_fast, PhaseSequence(bound=0.3, seed=13))]
+
+
+FIELD_CASES = _field_cases()
+FIELD_IDS = ["unequal", "disjoint", "pipeline"]
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=FIELD_IDS)
+def test_field_matches_per_tube_enumeration(case):
+    field = enumerate_fissures(*case)
+    reference = enumerate_per_tube(*case)
+    assert len(field) == len(reference) > 0
+    for got, ref in zip(field, reference):
+        assert (got.i, got.j) == (ref.i, ref.j)
+        assert got.geometry is ref.geometry
+        for axis in (0, 1):
+            hp, hp_ref = got.line(axis), ref.line(axis)
+            assert (hp.alpha, hp.beta) == (hp_ref.alpha, hp_ref.beta)
+            assert hp.q.base is hp_ref.q.base and hp.r.base is hp_ref.r.base
+    assert fissure_census(field).tobytes() \
+        == fissure_census(reference).tobytes()
+    # a list's indexing and slicing, by view
+    for k in (0, 7, -1, -len(field)):
+        assert (field[k].i, field[k].j) == (reference[k].i, reference[k].j)
+    for key in (slice(3, 11), slice(None, None, 4), slice(-5, None)):
+        assert [(f.i, f.j) for f in field[key]] \
+            == [(f.i, f.j) for f in reference[key]]
+    with pytest.raises(IndexError):
+        field[len(field)]
+    # the field's line table is the by-value walk of its tubes
+    lines, pairs, centers = distinct_lines(field)
+    walked, walked_pairs, walked_centers = distinct_lines(list(field))
+    assert len(lines) == len(walked)
+    assert all(lines[a] is walked[b]
+               for a, b in zip(pairs.ravel(), walked_pairs.ravel()))
+    assert centers.tobytes() == walked_centers.tobytes()
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=FIELD_IDS)
+def test_enumeration_draws_each_line_once(case, monkeypatch):
+    drawn = []
+    draw = PhaseSequence._draw
+
+    def counting(self, tag, i):
+        drawn.append(np.size(i))
+        return draw(self, tag, i)
+
+    monkeypatch.setattr(PhaseSequence, "_draw", counting)
+    field = enumerate_fissures(*case)
+    n1 = len({f.i for f in field})
+    n2 = len({f.j for f in field})
+    # alpha and beta once per index of each axis, however many tubes
+    assert sum(drawn) == 2 * (n1 + n2)
+    lines = {id(f.line(axis)) for f in field for axis in (0, 1)}
+    assert len(lines) == len({f.i for f in field} | {f.j for f in field})
+
+
 def test_census_is_deterministic():
     geo, q, r, ph = make_field(eps=0.2)
     a = fissure_census(enumerate_fissures(geo, q, r, ph))
@@ -143,105 +212,6 @@ def test_census_is_deterministic():
     assert np.array_equal(a, b)
     assert a.dtype.names == ("i", "j", "alpha_i", "alpha_j", "beta_i",
                              "beta_j", "q_i_mid", "q_j_mid")
-
-
-def test_shear_is_identity_for_constant_paths():
-    f = constant_fissure()
-    val = solve_psi(f, 0.3, -0.2, 1.7)
-    assert val.psi == pytest.approx(1.7, abs=1e-14)
-    assert val.d_zeta1 == 0.0 and val.d_zeta2 == 0.0
-    assert val.d_tau == pytest.approx(1.0, abs=1e-12)
-    assert val.cross_residual == 0.0
-
-
-def test_shear_integrator_step_refinement():
-    from fisshom.fissures import _integrate_shear
-    geo, q, r, ph = make_field(eps=0.0625)
-    f = enumerate_fissures(geo, q, r, ph)[0]
-    scale = geo.shear_scale
-    coarse = _integrate_shear(f.line_x1, 0.4, 2.0, scale, scale / 10.0)
-    fine = _integrate_shear(f.line_x1, 0.4, 2.0, scale, scale / 80.0)
-    assert coarse == pytest.approx(fine, abs=1e-12)
-    assert abs(coarse) > 0.0
-
-
-def test_chart_round_trip():
-    geo, q, r, ph = make_field(eps=0.0625)
-    f = enumerate_fissures(geo, q, r, ph)[3]
-    chart = CurvilinearChart(f)
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        y = np.array([rng.uniform(-0.45, 0.45) * geo.epsilon,
-                      rng.uniform(-0.45, 0.45) * geo.epsilon,
-                      rng.uniform(-0.95, -0.05)])
-        x = chart.forward(y)
-        y_back = chart.inverse(x)
-        assert np.max(np.abs(y_back - y)) < 1e-9 * max(1.0, geo.epsilon)
-        x_again = chart.forward(y_back)
-        assert np.max(np.abs(x_again - x)) < 1e-11
-
-
-def test_chart_maps_walls_to_walls():
-    geo, q, r, ph = make_field(eps=0.0625)
-    f = enumerate_fissures(geo, q, r, ph)[0]
-    chart = CurvilinearChart(f)
-    t = -0.4
-    x = chart.forward(np.array([0.5 * geo.epsilon, 0.0, t]))
-    (x1l, x1h), _ = f.cross_rect(x[2])
-    assert x[0] == pytest.approx(x1h, abs=1e-12)
-    x = chart.forward(np.array([-0.5 * geo.epsilon, 0.0, t]))
-    (x1l, x1h), _ = f.cross_rect(x[2])
-    assert x[0] == pytest.approx(x1l, abs=1e-12)
-
-
-def test_metric_constant_paths_exact():
-    f = constant_fissure(q0=0.45)
-    chart = CurvilinearChart(f)
-    y = np.array([0.01, -0.02, -0.5])
-    g = chart.metric(y)
-    expected = np.diag([0.45**2, 0.45**2, 1.0])
-    assert np.max(np.abs(g - expected)) < 1e-12
-    assert chart.jacobian_factor(y) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_metric_structure_random_paths():
-    geo, q, r, ph = make_field(eps=0.05)
-    f = enumerate_fissures(geo, q, r, ph)[0]
-    chart = CurvilinearChart(f)
-    y = np.array([0.3 * geo.epsilon, -0.25 * geo.epsilon, -0.37])
-    g = chart.metric(y)
-    assert np.allclose(g, g.T, atol=0.0)
-    w = np.linalg.eigvalsh(g)
-    assert w.min() > 0.0
-    # horizontal block close to the squared apertures
-    s = geo.stretched_depth(chart.forward(y)[2])
-    assert g[0, 0] == pytest.approx(float(f.line_x1.width(s))**2, rel=1e-2)
-    assert abs(g[0, 1]) < 1e-3
-    assert chart.jacobian_factor(y) > 0.9
-
-
-def test_metric_off_diagonal_decays_at_the_design_rate():
-    sups = []
-    epss = [0.1, 0.05, 0.025]
-    theta = 0.5
-    for eps in epss:
-        geo = GeometryParams(epsilon=eps, theta=theta, height=1.0)
-        q = build_path(Q_PARAMS)
-        r = build_path(R_PARAMS)
-        f = enumerate_fissures(geo, q, r, PhaseSequence(bound=0.3, seed=3))[0]
-        chart = CurvilinearChart(f)
-        worst = 0.0
-        for (yy1, yy2, tt) in [(0.3, -0.4, -0.21), (-0.45, 0.1, -0.63),
-                               (0.05, 0.45, -0.88)]:
-            g = chart.metric(np.array([yy1 * eps, yy2 * eps, tt]))
-            worst = max(worst, abs(g[0, 2]), abs(g[1, 2]))
-        sups.append(worst)
-    rate = np.polyfit(np.log(epss), np.log(sups), 1)[0]
-    # design rate eps^{2(1-theta)} = eps at theta = 1/2
-    assert rate >= 0.8 * 2.0 * (1.0 - theta)
-    assert sups[-1] < sups[0]
-    # absolute size consistent with the shear scale
-    assert sups[-1] < 10.0 * epss[-1] ** (2.0 * (1.0 - theta))
 
 
 def test_volume_integral_single_fissure_cross_check():

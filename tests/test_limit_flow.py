@@ -47,6 +47,13 @@ def test_config_validation():
                                      [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         base_config(k_minus=(1.0, -0.5, 1.0))
+    # NaN compares False with every bound, so both checks must fail closed
+    with pytest.raises(ValueError, match="positive definite"):
+        base_config(k_minus=float("nan"))
+    with pytest.raises(ValueError, match="diagonal"):
+        base_config(k_plus=np.array([[1.0, np.nan, 0.0],
+                                     [0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="kind"):
         FlowBC(kind="weird")
     with pytest.raises(ValueError, match="callables"):
@@ -117,6 +124,10 @@ def test_closed_gauge_and_conservation():
     with pytest.raises(ValueError, match="net source"):
         solve_limit_flow(cfg, FlowBC(kind="closed"),
                          source_plus=lambda x1, x2, x3: np.ones_like(x1))
+    with pytest.raises(ValueError, match="net source"):
+        solve_limit_flow(cfg, FlowBC(kind="closed"),
+                         source_plus=lambda x1, x2, x3: np.full_like(x1,
+                                                                     np.nan))
 
 
 def test_closed_hydrostatic_equilibrium():
@@ -226,6 +237,10 @@ def test_resistance_formula_and_validation():
         tangential_config(k_f=skew).resistance()
     with pytest.raises(ValueError, match="diagonal"):
         tangential_config(kstar_plus=0.09 * skew).resistance()
+    for bad in ({"k_f": np.nan}, {"k_f": np.diag([np.nan, 0.035])},
+                {"slip_gamma": np.nan}):
+        with pytest.raises(ValueError, match="tangential resistance"):
+            tangential_config(**bad).resistance()
 
 
 def test_tangential_divergence_free_rim():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fisshom._numerics import gauss_legendre, solve_sparse, solve_spd
+from fisshom._numerics import (gauss_legendre, positive_diagonal, solve_sparse,
+                               solve_spd)
 
 
 @pytest.mark.parametrize("order", [2, 6, 24])
@@ -31,3 +32,15 @@ def test_residual_gate_rejects_nan(solve):
     # fail closed
     with pytest.raises(RuntimeError, match="residual nan"):
         solve(sp.identity(2, format="csr"), np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "positive definite"),
+    ([1.0, np.nan, 2.0], "positive definite"),
+    ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "diagonal"),
+    ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "diagonal"),
+], ids=["scalar", "vector", "off_diagonal", "on_diagonal"])
+def test_positive_diagonal_rejects_nan(value, message):
+    # both checks compare with a bound, so NaN must fail them, not pass
+    with pytest.raises(ValueError, match=message):
+        positive_diagonal(value, 3, "k")
