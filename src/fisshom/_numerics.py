@@ -1,5 +1,5 @@
 """Shared low-level numerics: seeding, quadrature, finite-volume assembly,
-sparse solver wrappers.
+sparse solver wrappers, and the mode-by-mode solve of separable bed systems.
 
 Everything here is deliberately boring.  Deterministic seeding uses
 splitmix64 so that per-index draws are stateless and identical across
@@ -16,6 +16,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy import fft
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -169,6 +170,16 @@ def pin_rows(A: sp.spmatrix, b: np.ndarray, fixed: np.ndarray, values):
     return pinned.asformat(A.format), np.where(fixed, values, b)
 
 
+def checked_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
+    """max|Ax - b| / (max|b| + max|x| + 1) with A as passed; raises
+    RuntimeError when it exceeds 1e-9."""
+    residual = float(np.max(np.abs(A @ x - b))
+                     / (np.max(np.abs(b)) + np.max(np.abs(x)) + 1.0))
+    if not residual <= 1e-9:
+        raise RuntimeError(f"sparse solve residual {residual:.2e} too large")
+    return residual
+
+
 def solve_sparse(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Direct sparse solve with a residual check.
 
@@ -176,10 +187,73 @@ def solve_sparse(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, float]:
     with A as passed; raises RuntimeError when it exceeds 1e-9.
     """
     x = spla.splu(A.tocsc()).solve(b)
-    residual = float(np.max(np.abs(A @ x - b))
-                     / (np.max(np.abs(b)) + np.max(np.abs(x)) + 1.0))
-    if not residual <= 1e-9:
-        raise RuntimeError(f"sparse solve residual {residual:.2e} too large")
+    return x, checked_residual(A, x, b)
+
+
+# Horizontal bases of the separable solve: transform pair, transform type,
+# frequency of the first mode, and the diagonal of the 1-D second difference
+# at the first unknown.
+#   dct2  cell centres, no-flow walls
+#   dst2  cell centres, Dirichlet walls (2 tau boundary faces)
+#   dst1  interior vertices, Dirichlet walls
+_BASES = {"dct2": (fft.dctn, fft.idctn, 2, 0, 1.0),
+          "dst2": (fft.dstn, fft.idstn, 2, 1, 3.0),
+          "dst1": (fft.dstn, fft.idstn, 1, 1, 2.0)}
+
+
+def column_operator(A: sp.spmatrix, index: np.ndarray, basis: str):
+    """Read the separable structure off a matrix assembled on a horizontally
+    uniform (n1, n2, nz) tensor grid of flat unknown numbers `index`.
+
+    Returns (C, h1, h2): the dense operator of one vertical column without
+    its horizontal part, and the per-layer coefficients of the horizontal
+    second differences along x1 and x2.  They are read at the first column
+    and its neighbours; for "dst1" `index` includes the Dirichlet ring, so
+    that column is index[1, 1].
+    """
+    corner = _BASES[basis][4]
+    o = 1 if basis == "dst1" else 0
+    col = index[o, o]
+    h1 = -np.asarray(A[col, index[1 - o, o]]).ravel()
+    h2 = -np.asarray(A[col, index[o, 1 - o]]).ravel()
+    C = A[col][:, col].toarray() - np.diag(corner * (h1 + h2))
+    return C, h1, h2
+
+
+def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+                    rhs: np.ndarray, basis: str, pin: int | None = None):
+    """Solve (I (x) C + L1 (x) I (x) diag(h1) + I (x) L2 (x) diag(h2)) x = rhs
+    mode by mode, for rhs of shape (m1, m2, nz).
+
+    L1 and L2 are the 1-D second differences that `basis` diagonalizes, with
+    eigenvalues mu_k = 2 - 2 cos(pi k / n).  The orthonormal transform of
+    axes 0 and 1 turns the system into one banded column block
+    C + diag(mu1_k1 h1 + mu2_k2 h2) per mode (k1, k2); all blocks go to
+    one sparse solve, whose fill stays linear in the unknowns.  `pin` names a
+    row of mode (0, 0) that is replaced by the gauge x = 0, for a singular
+    column with a compatible right-hand side.
+
+    Returns (x, residual of the mode system).
+    """
+    forward, inverse, kind, first, _ = _BASES[basis]
+    m1, m2, nz = rhs.shape
+
+    def eigenvalues(m):
+        k = np.arange(m) + first
+        return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
+
+    shift = (eigenvalues(m1)[:, None, None] * h1
+             + eigenvalues(m2)[None, :, None] * h2)
+    M = (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
+         + sp.diags(shift.ravel())).tocsr()
+    rhs_hat = forward(rhs, type=kind, axes=(0, 1), norm="ortho").ravel()
+    if pin is not None:
+        fixed = np.zeros(rhs_hat.size, dtype=bool)
+        fixed[pin] = True
+        M, rhs_hat = pin_rows(M, rhs_hat, fixed, 0.0)
+    x_hat, residual = solve_sparse(M, rhs_hat)
+    x = inverse(x_hat.reshape(rhs.shape), type=kind, axes=(0, 1),
+                norm="ortho")
     return x, residual
 
 

@@ -247,6 +247,7 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
         raise CheckFailure(f"flow interface flux continuity gap {cont:.3e} "
                            "exceeds 1e-8")
     report = {
+        "route": sol.route,
         "residual": sol.residual,
         "flux_continuity_gap": cont,
         "coupling": flow_cfg.coupling,
@@ -301,6 +302,7 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
                            "nonnegative boundary data")
     flux_top, flux_bottom = sol.exchange_fluxes()
     report = {
+        "route": sol.route,
         "residual": sol.residual,
         "mass_balance_gap": balance,
         "concentration_range": [lo, hi],

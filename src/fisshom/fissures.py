@@ -27,6 +27,9 @@ import numpy as np
 from ._numerics import fsum, gauss_legendre, panel_quadrature
 from .stochastic import PhaseSequence, StationaryPath
 
+# tubes per block of `fissure_volume_integral`
+_VOLUME_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class GeometryParams:
@@ -284,27 +287,33 @@ def fissure_volume_integral(fissures: Sequence[Fissure], phi,
 
     minus = np.array([hp.minus(s_nodes) for hp in lines])
     plus = np.array([hp.plus(s_nodes) for hp in lines])
-    i1, i2 = pairs.T
-    a1m, a1p = minus[i1], plus[i1]
-    a2m, a2p = minus[i2], plus[i2]
-    base1, base2 = centers.T
-    q1 = a1p - a1m
-    q2 = a2p - a2m
-    mid1 = base1[:, None] + eps * 0.5 * (a1p + a1m)
-    mid2 = base2[:, None] + eps * 0.5 * (a2p + a2m)
-    # sample points: (F, H, 2, 2)
-    x1 = mid1[..., None, None] + (eps * q1)[..., None, None] \
-        * gauss_off[None, None, :, None]
-    x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
-        * gauss_off[None, None, None, :]
-    shape = (len(fissures), len(x3_nodes), 2, 2)
-    x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
-    vals = np.broadcast_to(np.asarray(phi(x1, x2, x3), dtype=float), shape)
-    # x2 first: a value constant in x2 then averages to itself exactly
-    cell_mean = vals.mean(axis=3).mean(axis=2)
-    area = eps * eps * q1 * q2
-    per_fissure = (cell_mean * area * x3_w[None, :]).sum(axis=1)
-    return fsum(per_fissure)
+    # tubes in blocks: each tube's row is computed alone, so the blocks only
+    # bound the (F, H, 2, 2) samples held at once
+    per_fissure = []
+    for start in range(0, len(pairs), _VOLUME_BLOCK):
+        rows = slice(start, start + _VOLUME_BLOCK)
+        i1, i2 = pairs[rows].T
+        a1m, a1p = minus[i1], plus[i1]
+        a2m, a2p = minus[i2], plus[i2]
+        base1, base2 = centers[rows].T
+        q1 = a1p - a1m
+        q2 = a2p - a2m
+        mid1 = base1[:, None] + eps * 0.5 * (a1p + a1m)
+        mid2 = base2[:, None] + eps * 0.5 * (a2p + a2m)
+        # sample points: (F, H, 2, 2)
+        x1 = mid1[..., None, None] + (eps * q1)[..., None, None] \
+            * gauss_off[None, None, :, None]
+        x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
+            * gauss_off[None, None, None, :]
+        shape = (len(i1), len(x3_nodes), 2, 2)
+        x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
+        vals = np.broadcast_to(np.asarray(phi(x1, x2, x3), dtype=float),
+                               shape)
+        # x2 first: a value constant in x2 then averages to itself exactly
+        cell_mean = vals.mean(axis=3).mean(axis=2)
+        area = eps * eps * q1 * q2
+        per_fissure.append((cell_mean * area * x3_w[None, :]).sum(axis=1))
+    return fsum(np.concatenate(per_fissure))
 
 
 def surface_integral(geometry: GeometryParams, phi) -> float:

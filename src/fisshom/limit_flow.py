@@ -18,6 +18,16 @@ face traces are reconstructed one-sidedly to second order from the two cells
 nearest the interface, the 2x2 trace system is solved in closed form, and the
 resulting flux expression couples the two beds four cells at a time.
 
+Solve: every bed has a constant diagonal permeability on a uniform
+horizontal grid, so the assembled 3-D system is a tensor product of one
+vertical column operator (both beds stacked, interface cells adjacent) with
+horizontal second differences.  An orthonormal cosine transform (no-flow side
+walls) or sine transform (Dirichlet side walls) of the right-hand side
+decouples it into one banded column system per horizontal mode, and all of
+them go to one sparse factorization with fill linear in the unknowns
+(`_numerics.solve_separable`).  The residual is measured on the assembled
+3-D system.
+
 A separate staggered-grid solver handles the tangential flow sheet on the
 cross-section: in-plane Darcy flow with a drag that combines the fissure
 resistance with slip against both beds, incompressible, impermeable rim.
@@ -29,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (axis_neighbours, coo_square, on_grid, pin_rows,
-                        positive_diagonal, solve_sparse, sym_inv_sqrt,
+from ._numerics import (axis_neighbours, checked_residual, column_operator,
+                        coo_square, on_grid, pin_rows, positive_diagonal,
+                        solve_separable, solve_sparse, sym_inv_sqrt,
                         two_point)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
@@ -59,7 +70,8 @@ class FlowConfig:
     def __post_init__(self):
         for name in ("mu_plus", "mu_minus", "mu_fissure", "k0", "height",
                      "depth_plus", "depth_minus"):
-            if getattr(self, name) <= 0:
+            # written so that NaN fails: it compares False with any bound
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         n1, n2, nzp, nzm = self.shape
         if min(n1, n2) < 2 or min(nzp, nzm) < 3:
@@ -220,6 +232,7 @@ class LimitFlowSolution:
     tube_velocity: np.ndarray       # per-tube mean velocity V / <q^2>
     mean_p_minus: float
     residual: float
+    route: str                      # "separable" (mode by mode) or "splu"
 
     def flux_continuity_gap(self) -> float:
         """Reassemble the one-sided fluxes on both faces of the layer from
@@ -259,13 +272,10 @@ def _trace_system(cfg: FlowConfig):
     return gam_p, gam_m, lam, Minv
 
 
-def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
-                     source_plus=None, source_minus=None) -> LimitFlowSolution:
-    """Solve the coupled two-bed Darcy problem with the fissure transmission
-    condition.  Optional volumetric sources (callables of cell centers) act
-    as wells; they also carry manufactured solutions in tests."""
-    if bc is None:
-        bc = FlowBC()
+def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
+                     source_minus):
+    """The 3-D cell-centred system (A, b) of both beds, before any gauge,
+    with the two beds' bookkeeping."""
     bedp = _Bed(cfg, "plus", 0)
     bedm = _Bed(cfg, "minus", bedp.n_cells)
     n_tot = bedp.n_cells + bedm.n_cells
@@ -301,25 +311,60 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
             cols.append(src_cells)
             vals.append(np.full(target.size, sign * coef))
         np.add.at(b, target, -sign * area * (c1 * g_p + c2 * g_m))
+    return coo_square(rows, cols, vals, n_tot), b, bedp, bedm
 
-    coo = coo_square(rows, cols, vals, n_tot)
-    A = coo.tocsc()
 
+def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
+                     source_plus=None, source_minus=None) -> LimitFlowSolution:
+    """Solve the coupled two-bed Darcy problem with the fissure transmission
+    condition.  Optional volumetric sources (callables of cell centers) act
+    as wells; they also carry manufactured solutions in tests.
+
+    The beds are horizontally uniform, so the solve runs mode by mode
+    (`solve_separable`): a cosine basis for no-flow side walls, a sine basis
+    for Dirichlet ones.  The residual is measured on the assembled 3-D
+    system."""
+    if bc is None:
+        bc = FlowBC()
+    coo, b, bedp, bedm = _assemble_system(cfg, bc, source_plus, source_minus)
+    A = coo.tocsr()
+    # columns ordered [minus bottom->top, plus bottom->top], so the coupled
+    # interface cells are neighbours and the column operator is banded
+    index = np.concatenate((bedm.index, bedp.index), axis=2)
+    basis = "dst2" if bc.kind == "dirichlet" else "dct2"
+    C, h1, h2 = column_operator(A, index, basis)
     if bc.kind == "closed":
         scale = float(np.max(np.abs(b)) + np.max(np.abs(coo.data)))
         if not abs(b.sum()) <= 1e-10 * (scale + 1.0):
             raise ValueError("net source must vanish for closed boundaries")
-        gauge = np.zeros(n_tot, dtype=bool)
+    # for closed boundaries the constant null space lives in mode (0, 0)
+    # alone: one of its rows takes the gauge, every other row the unpinned,
+    # compatible right-hand side
+    p = np.empty(b.size)
+    p[index], _ = solve_separable(C, h1, h2, b[index], basis,
+                                  pin=0 if bc.kind == "closed" else None)
+    if bc.kind == "closed":
+        # the gauge of the assembled system, p = 0 in the first cell
+        p -= p[0]
+        gauge = np.zeros(b.size, dtype=bool)
         gauge[0] = True
         A, b = pin_rows(A, b, gauge, 0.0)
-    p, residual = solve_sparse(A, b)
+    residual = checked_residual(A, p, b)
     p_plus = p[:bedp.n_cells].reshape(bedp.shape)
     p_minus = p[bedp.n_cells:].reshape(bedm.shape)
     if bc.kind == "closed":
         shift = float(p_plus.mean())
         p_plus = p_plus - shift
         p_minus = p_minus - shift
+    return _solution(cfg, bc, p_plus, p_minus, residual, "separable")
 
+
+def _solution(cfg: FlowConfig, bc: FlowBC, p_plus, p_minus, residual: float,
+              route: str) -> LimitFlowSolution:
+    """Interface traces, fluxes and tube velocities of solved pressures."""
+    gam_p, gam_m, lam, Minv = _trace_system(cfg)
+    g_p = cfg.k_plus[2] / cfg.mu_plus * cfg.gravity_plus
+    g_m = cfg.k_minus[2] / cfg.mu_minus * cfg.gravity_minus
     r1 = g_p - gam_p * (9.0 * p_plus[:, :, 0] - p_plus[:, :, 1])
     r2 = g_m + gam_m * (9.0 * p_minus[:, :, -1] - p_minus[:, :, -2])
     trace_plus = Minv[0, 0] * r1 + Minv[0, 1] * r2
@@ -332,7 +377,7 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
         config=cfg, bc=bc, p_plus=p_plus, p_minus=p_minus,
         trace_plus=trace_plus, trace_minus=trace_minus,
         interface_flux=V, tube_velocity=tube,
-        mean_p_minus=float(p_minus.mean()), residual=residual)
+        mean_p_minus=float(p_minus.mean()), residual=residual, route=route)
 
 
 # ----------------------------------------------------------------------

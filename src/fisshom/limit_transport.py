@@ -22,6 +22,15 @@ The interface rows carry half control volumes plus the surface and exchange
 terms, so the assembled matrix keeps the M-matrix sign pattern and the
 discrete solution inherits the max principle.
 
+Solve: without bed or surface velocities every coefficient is constant on
+the uniform horizontal grid.  The Dirichlet data then move to the
+right-hand side through the assembled matrix, and an orthonormal sine
+transform of the interior vertices decouples the system into one banded
+column system per horizontal mode (`_numerics.solve_separable`).  Any
+velocity makes the system non-separable, and the whole Dirichlet-pinned 3-D
+system goes to SuperLU.  Both routes measure the residual on that 3-D
+system, and the solution records which route ran.
+
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.
 """
@@ -32,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (axis_neighbours, coo_square, on_grid, pin_rows,
-                        positive_diagonal, solve_sparse, two_point, upwind)
+from ._numerics import (axis_neighbours, checked_residual, column_operator,
+                        coo_square, on_grid, pin_rows, positive_diagonal,
+                        solve_separable, solve_sparse, two_point, upwind)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
 
@@ -68,11 +78,13 @@ class TransportConfig:
     shape: tuple[int, int, int, int] = (8, 8, 8, 8)
 
     def __post_init__(self):
-        if self.reaction_plus < 0 or self.reaction_minus < 0:
+        # written so that NaN fails: it compares False with any bound
+        if not (self.reaction_plus >= 0 and self.reaction_minus >= 0):
             raise ValueError("reactions must be nonnegative")
-        if self.cell_porosity <= 0 or self.cell_porosity > 1.0:
+        if not 0 < self.cell_porosity <= 1.0:
             raise ValueError("cell_porosity must lie in (0, 1]")
-        if self.height <= 0 or self.depth_plus <= 0 or self.depth_minus <= 0:
+        if not (self.height > 0 and self.depth_plus > 0
+                and self.depth_minus > 0):
             raise ValueError("layer height and bed depths must be positive")
         n1, n2, nzp, nzm = self.shape
         if min(n1, n2) < 2 or min(nzp, nzm) < 2:
@@ -254,6 +266,7 @@ class TransportSolution:
     u_plus: np.ndarray
     u_minus: np.ndarray
     residual: float
+    route: str          # "separable" (mode by mode) or "splu"
 
     @property
     def trace_plus(self) -> np.ndarray:
@@ -275,8 +288,11 @@ class TransportSolution:
         return lo, hi
 
 
-def solve_limit_transport(cfg: TransportConfig, surface_source=None,
-                          surface_source_minus=None) -> TransportSolution:
+def _assemble_system(cfg: TransportConfig, surface_source,
+                     surface_source_minus):
+    """The 3-D vertex system (A, b) of both beds before the Dirichlet rows,
+    the Dirichlet vertices `fixed` with their `data` (zero elsewhere), and
+    the two bed meshes."""
     meshp = _BedMesh(cfg, "plus", 0)
     meshm = _BedMesh(cfg, "minus", meshp.n)
     n_tot = meshp.n + meshm.n
@@ -288,8 +304,6 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
     _assemble_bed(cfg, meshm, rows, cols, vals, b)
     _assemble_surface(cfg, meshp, meshm, rows, cols, vals, b, surface_source,
                       surface_source_minus)
-
-    # Dirichlet rows: identity with the boundary data
     fixed = np.zeros(n_tot, dtype=bool)
     data = np.zeros(n_tot)
     for mesh, bc in ((meshp, cfg.bc_plus), (meshm, cfg.bc_minus)):
@@ -297,14 +311,42 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
         g = on_grid(bc, mesh.x1, mesh.x2, mesh.x3)
         fixed[mesh.index[mask]] = True
         data[mesh.index[mask]] = g[mask]
-    A, b = pin_rows(coo_square(rows, cols, vals, n_tot).tocsr(), b, fixed,
-                    data)
-    u, residual = solve_sparse(A, b)
+    return (coo_square(rows, cols, vals, n_tot).tocsr(), b, fixed, data,
+            meshp, meshm)
+
+
+def solve_limit_transport(cfg: TransportConfig, surface_source=None,
+                          surface_source_minus=None) -> TransportSolution:
+    """Solve the coupled transport problem.  Without velocities the beds are
+    horizontally uniform: the Dirichlet data move to the right-hand side and
+    the interior vertices are solved mode by mode in a sine basis
+    (`solve_separable`).  With any velocity the Dirichlet-pinned 3-D system
+    goes to SuperLU.  Either way the residual is measured on that system."""
+    A, b, fixed, data, meshp, meshm = _assemble_system(
+        cfg, surface_source, surface_source_minus)
+    pinned, b_pinned = pin_rows(A, b, fixed, data)
+    if (cfg.vel_plus is None and cfg.vel_minus is None
+            and cfg.surface_velocity is None):
+        route = "separable"
+        # vertex columns without the outer Dirichlet planes, ordered
+        # [minus bottom->top, plus bottom->top] so the column operator is
+        # banded; the side Dirichlet ring stays in the index
+        index = np.concatenate((meshm.index[:, :, 1:],
+                                meshp.index[:, :, :-1]), axis=2)
+        C, h1, h2 = column_operator(A, index, "dst1")
+        rhs = b - A @ data
+        inner = index[1:-1, 1:-1]
+        u = data.copy()
+        u[inner], _ = solve_separable(C, h1, h2, rhs[inner], "dst1")
+        residual = checked_residual(pinned, u, b_pinned)
+    else:
+        route = "splu"
+        u, residual = solve_sparse(pinned, b_pinned)
     return TransportSolution(
         config=cfg,
         u_plus=u[:meshp.n].reshape(meshp.shape),
         u_minus=u[meshp.n:].reshape(meshm.shape),
-        residual=residual)
+        residual=residual, route=route)
 
 
 def mass_balance_gap(sol: TransportSolution, surface_source=None,

@@ -9,13 +9,19 @@ The per-tube loops at the end are the retained references of the
 line-factored fast paths in `fisshom.fissures` and `fisshom.verify`: they
 draw the phases and evaluate the four half-opening paths of every tube
 separately, and the fast paths must reproduce them bit for bit.
+
+The SuperLU bed solves are the retained references of the separable
+(mode-by-mode) routes in `fisshom.limit_flow` and
+`fisshom.limit_transport`: the same assembled 3-D systems, factored whole.
 """
 
 import math
 
 import numpy as np
 
-from fisshom._numerics import fsum, gauss_legendre, panel_quadrature
+from fisshom import limit_flow, limit_transport
+from fisshom._numerics import (fsum, gauss_legendre, panel_quadrature,
+                               pin_rows, solve_sparse)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
@@ -171,3 +177,36 @@ def pair_averages_per_tube(fissures, panels_per_period=6.0):
         rbar[k] = (1.0 / qq) @ w / h
         q0[k] = float(f.line_x1.width(0.0)) * float(f.line_x2.width(0.0))
     return qbar, rbar, q0
+
+
+def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
+    """The coupled flow solve before the separable route: SuperLU on the
+    assembled 3-D system, gauged by p = 0 in its first cell for closed
+    boundaries and then shifted to mean(p_plus) = 0."""
+    coo, b, bedp, bedm = limit_flow._assemble_system(cfg, bc, source_plus,
+                                                     source_minus)
+    A = coo.tocsc()
+    if bc.kind == "closed":
+        gauge = np.zeros(b.size, dtype=bool)
+        gauge[0] = True
+        A, b = pin_rows(A, b, gauge, 0.0)
+    p, residual = solve_sparse(A, b)
+    p_plus = p[:bedp.n_cells].reshape(bedp.shape)
+    p_minus = p[bedp.n_cells:].reshape(bedm.shape)
+    if bc.kind == "closed":
+        shift = float(p_plus.mean())
+        p_plus = p_plus - shift
+        p_minus = p_minus - shift
+    return limit_flow._solution(cfg, bc, p_plus, p_minus, residual, "splu")
+
+
+def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
+    """The coupled transport solve before the separable route: SuperLU on
+    the assembled 3-D system with its Dirichlet rows pinned."""
+    A, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
+        cfg, surface_source, surface_source_minus)
+    u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
+    return limit_transport.TransportSolution(
+        config=cfg, u_plus=u[:meshp.n].reshape(meshp.shape),
+        u_minus=u[meshp.n:].reshape(meshm.shape), residual=residual,
+        route="splu")

@@ -146,8 +146,12 @@ def test_single_stage_with_dependencies(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert [s["name"] for s in man["steps"]] == ["cell", "flow"]
     flow = json.loads((out / "flow.json").read_text())
+    assert flow["route"] == "separable"
     assert flow["residual"] <= 1e-9
     assert flow["flux_continuity_gap"] <= 1e-8
+    assert run(cfg, "transport") == 0
+    transport = json.loads((out / "transport.json").read_text())
+    assert transport["route"] == "separable"
 
 
 def test_solver_error_skips_dependents(tmp_path):

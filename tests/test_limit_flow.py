@@ -15,6 +15,8 @@ from fisshom.limit_flow import (
 )
 from fisshom.stochastic import constant_stats
 
+from _oracles import limit_flow_splu
+
 STATS = constant_stats(0.5)
 
 
@@ -54,6 +56,10 @@ def test_config_validation():
         base_config(k_plus=np.array([[1.0, np.nan, 0.0],
                                      [0.0, 1.0, 0.0],
                                      [0.0, 0.0, 1.0]]))
+    for name in ("mu_plus", "mu_minus", "mu_fissure", "k0", "height",
+                 "depth_plus", "depth_minus"):
+        with pytest.raises(ValueError, match=name):
+            base_config(**{name: float("nan")})
     with pytest.raises(ValueError, match="kind"):
         FlowBC(kind="weird")
     with pytest.raises(ValueError, match="callables"):
@@ -205,6 +211,53 @@ def test_mms_convergence_order():
     assert fit_loglog_slope(hs, errs_p) >= 1.8
     assert errs_v[-1] < errs_v[0]
     assert errs_v[-1] < 2e-3
+
+
+def _separable_cases():
+    """One case per boundary kind, each with n1 != n2, nz+ != nz- and
+    unequal depths on an off-origin cross-section."""
+    cfg = base_config(k_plus=(1.3, 0.7, 0.9), mu_minus=1.4, depth_minus=0.6,
+                      shape=(9, 6, 7, 5), x1_extent=(0.2, 1.5),
+                      x2_extent=(-0.4, 0.5), gravity_plus=-0.6,
+                      gravity_minus=0.4)
+    x1, x2 = cfg.horizontal_centers()
+    Xp = np.meshgrid(x1, x2, cfg.vertical_centers("plus"), indexing="ij")
+    cell_p = 1.3 / 9 * 0.9 / 6 * cfg.depth_plus / 7
+
+    def src_p(a, b, c):
+        return np.cos(3.0 * a) * np.sin(2.0 * b) + a * c
+
+    # the lower bed takes out what the upper one injects
+    net = float(np.sum(src_p(*Xp)) * cell_p)
+    volume_m = 1.3 * 0.9 * cfg.depth_minus
+    closed = (cfg, FlowBC(kind="closed"), src_p,
+              lambda a, b, c: np.full_like(a, -net / volume_m))
+    ends = (cfg, FlowBC(kind="pressure_ends",
+                        p_top=lambda a, b: np.sin(2.0 * a) + b * b,
+                        p_bottom=-0.3), None, None)
+    mms = base_config(k_plus=(1.3, 0.7, 0.9), depth_minus=0.7,
+                      shape=(8, 11, 6, 9))
+    p_plus, p_minus, mms_p, mms_m, _ = mms_fields(mms)
+    dirichlet = (mms, FlowBC(kind="dirichlet", p_plus=p_plus,
+                             p_minus=p_minus), mms_p, mms_m)
+    return {"closed": closed, "pressure_ends": ends, "dirichlet": dirichlet}
+
+
+@pytest.mark.parametrize("kind", ["closed", "pressure_ends", "dirichlet"])
+def test_separable_route_matches_splu_oracle(kind):
+    cfg, bc, src_p, src_m = _separable_cases()[kind]
+    sol = solve_limit_flow(cfg, bc, source_plus=src_p, source_minus=src_m)
+    ref = limit_flow_splu(cfg, bc, source_plus=src_p, source_minus=src_m)
+    assert sol.route == "separable" and ref.route == "splu"
+    for got, want in ((sol.p_plus, ref.p_plus), (sol.p_minus, ref.p_minus),
+                      (sol.interface_flux, ref.interface_flux)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (
+            1.0 + np.max(np.abs(want)))
+    assert sol.residual <= 1e-14
+    assert sol.flux_continuity_gap() < 1e-10
+    if kind == "closed":
+        assert abs(float(sol.p_plus.mean())) < 1e-12
+        assert np.ptp(sol.interface_flux) > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ from fisshom.limit_transport import (
 )
 from fisshom.stochastic import constant_stats
 
+from _oracles import limit_transport_splu
+
 STATS = constant_stats(0.5)
 LAYER = dict(height=0.8, mean_qq=0.25, mean_inv_qq=4.2)
 
@@ -49,6 +51,16 @@ def test_config_validation():
                                         [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="2 cells"):
         base_config(shape=(1, 6, 6, 6))
+    # NaN compares False with every bound, so each check must fail closed
+    nan = float("nan")
+    for bad, match in (({"reaction_plus": nan}, "reactions"),
+                       ({"reaction_minus": nan}, "reactions"),
+                       ({"cell_porosity": nan}, "porosity"),
+                       ({"height": nan}, "positive"),
+                       ({"depth_plus": nan}, "positive"),
+                       ({"depth_minus": nan}, "positive")):
+        with pytest.raises(ValueError, match=match):
+            base_config(**bad)
 
 
 def test_uniform_state_is_exact():
@@ -255,3 +267,58 @@ def test_surface_diffusion_flattens_trace():
     spread_smooth = float(np.max(smoothed.trace_plus)
                           - np.min(smoothed.trace_plus))
     assert spread_smooth < 0.2 * spread_plain
+
+
+def _uniform_case(**kw):
+    """Reactions, surface diffusion, callable boundary data, volume sources,
+    n1 != n2, nz+ != nz- and unequal depths on an off-origin cross-section."""
+    args = dict(
+        diff_plus=(1.0, 0.7, 0.6), diff_minus=(0.5, 0.9, 1.2),
+        exchange=exchange(reaction=0.4, v3=-0.3, diffusion=0.8),
+        reaction_plus=0.4, reaction_minus=0.15,
+        surface_diffusion=(0.3, 0.5), cell_porosity=0.6,
+        source_plus=lambda a, b, c: np.cos(2.0 * a) + c,
+        source_minus=lambda a, b, c: b * b,
+        bc_plus=lambda a, b, c: 1.0 + a * b + 0.2 * c,
+        bc_minus=lambda a, b, c: np.sin(c) + 2.0,
+        depth_plus=1.1, depth_minus=0.7, x1_extent=(0.2, 1.5),
+        x2_extent=(-0.4, 0.5), shape=(9, 6, 7, 5))
+    args.update(kw)
+    return base_config(**args)
+
+
+def _surface_sources():
+    return (lambda a, b: 0.5 + a * b), (lambda a, b: np.cos(b))
+
+
+def test_separable_route_matches_splu_oracle():
+    cfg = _uniform_case()
+    top, bottom = _surface_sources()
+    sol = solve_limit_transport(cfg, top, bottom)
+    ref = limit_transport_splu(cfg, top, bottom)
+    assert sol.route == "separable" and ref.route == "splu"
+    for got, want in ((sol.u_plus, ref.u_plus), (sol.u_minus, ref.u_minus)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (
+            1.0 + np.max(np.abs(want)))
+    assert sol.residual <= 1e-14
+    assert mass_balance_gap(sol, top, bottom) < 1e-12
+
+
+@pytest.mark.parametrize("velocity", ["vel_plus", "vel_minus",
+                                      "surface_velocity"])
+def test_any_velocity_takes_the_general_route(velocity):
+    fields = {
+        "vel_plus": lambda a, b, c: (0.3 * np.ones_like(a), 0.0 * a,
+                                     -0.2 * np.ones_like(a)),
+        "vel_minus": lambda a, b, c: (0.0 * a, -0.4 * np.ones_like(a),
+                                      -0.1 * np.ones_like(a)),
+        "surface_velocity": lambda a, b: (0.2 * np.ones_like(a), 0.1 * b),
+    }
+    cfg = _uniform_case(**{velocity: fields[velocity]})
+    top, bottom = _surface_sources()
+    sol = solve_limit_transport(cfg, top, bottom)
+    ref = limit_transport_splu(cfg, top, bottom)
+    assert sol.route == "splu"
+    assert np.array_equal(sol.u_plus, ref.u_plus)
+    assert np.array_equal(sol.u_minus, ref.u_minus)
+    assert sol.residual == ref.residual
