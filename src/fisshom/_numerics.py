@@ -170,10 +170,20 @@ def pin_rows(A: sp.spmatrix, b: np.ndarray, fixed: np.ndarray, values):
     return pinned.asformat(A.format), np.where(fixed, values, b)
 
 
-def checked_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
+def checked_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray,
+                     fixed: np.ndarray | None = None, values=0.0) -> float:
     """max|Ax - b| / (max|b| + max|x| + 1) with A as passed; raises
-    RuntimeError when it exceeds 1e-9."""
-    residual = float(np.max(np.abs(A @ x - b))
+    RuntimeError when it exceeds 1e-9.
+
+    With `fixed`, the residual is that of the system `pin_rows(A, b, fixed,
+    values)` without building it: x - values on the fixed rows, and values
+    in place of b there.
+    """
+    r = A @ x - b
+    if fixed is not None:
+        r = np.where(fixed, x - values, r)
+        b = np.where(fixed, values, b)
+    residual = float(np.max(np.abs(r))
                      / (np.max(np.abs(b)) + np.max(np.abs(x)) + 1.0))
     if not residual <= 1e-9:
         raise RuntimeError(f"sparse solve residual {residual:.2e} too large")
@@ -220,6 +230,22 @@ def column_operator(A: sp.spmatrix, index: np.ndarray, basis: str):
     return C, h1, h2
 
 
+def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+                 m1: int, m2: int, basis: str) -> sp.csr_matrix:
+    """The mode-major block matrix kron(I, C) + diags(mu1 h1 + mu2 h2) of an
+    (m1, m2) horizontal grid in `basis`: one column block per mode."""
+    _, _, kind, first, _ = _BASES[basis]
+
+    def eigenvalues(m):
+        k = np.arange(m) + first
+        return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
+
+    shift = (eigenvalues(m1)[:, None, None] * h1
+             + eigenvalues(m2)[None, :, None] * h2)
+    return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
+            + sp.diags(shift.ravel())).tocsr()
+
+
 def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                     rhs: np.ndarray, basis: str, pin: int | None = None):
     """Solve (I (x) C + L1 (x) I (x) diag(h1) + I (x) L2 (x) diag(h2)) x = rhs
@@ -235,17 +261,9 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
 
     Returns (x, residual of the mode system).
     """
-    forward, inverse, kind, first, _ = _BASES[basis]
-    m1, m2, nz = rhs.shape
-
-    def eigenvalues(m):
-        k = np.arange(m) + first
-        return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
-
-    shift = (eigenvalues(m1)[:, None, None] * h1
-             + eigenvalues(m2)[None, :, None] * h2)
-    M = (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
-         + sp.diags(shift.ravel())).tocsr()
+    forward, inverse, kind, _, _ = _BASES[basis]
+    m1, m2, _ = rhs.shape
+    M = _mode_matrix(C, h1, h2, m1, m2, basis)
     rhs_hat = forward(rhs, type=kind, axes=(0, 1), norm="ortho").ravel()
     if pin is not None:
         fixed = np.zeros(rhs_hat.size, dtype=bool)
@@ -255,6 +273,25 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     x = inverse(x_hat.reshape(rhs.shape), type=kind, axes=(0, 1),
                 norm="ortho")
     return x, residual
+
+
+def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+                      shape: tuple[int, int, int], basis: str):
+    """The inverse of the separable operator of `solve_separable` on
+    unknowns of `shape`, as a function of a flat right-hand side.  The mode
+    matrix is factored once; each call transforms, back-substitutes and
+    transforms back, so it serves as an iterative solver's preconditioner.
+    """
+    forward, inverse, kind, _, _ = _BASES[basis]
+    lu = spla.splu(_mode_matrix(C, h1, h2, shape[0], shape[1], basis).tocsc())
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        r_hat = forward(r.reshape(shape), type=kind, axes=(0, 1),
+                        norm="ortho")
+        x_hat = lu.solve(r_hat.ravel()).reshape(shape)
+        return inverse(x_hat, type=kind, axes=(0, 1), norm="ortho").ravel()
+
+    return apply
 
 
 def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:

@@ -303,6 +303,7 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
     flux_top, flux_bottom = sol.exchange_fluxes()
     report = {
         "route": sol.route,
+        "iterations": sol.iterations,
         "residual": sol.residual,
         "mass_balance_gap": balance,
         "concentration_range": [lo, hi],

@@ -22,14 +22,20 @@ The interface rows carry half control volumes plus the surface and exchange
 terms, so the assembled matrix keeps the M-matrix sign pattern and the
 discrete solution inherits the max principle.
 
-Solve: without bed or surface velocities every coefficient is constant on
-the uniform horizontal grid.  The Dirichlet data then move to the
-right-hand side through the assembled matrix, and an orthonormal sine
-transform of the interior vertices decouples the system into one banded
-column system per horizontal mode (`_numerics.solve_separable`).  Any
-velocity makes the system non-separable, and the whole Dirichlet-pinned 3-D
-system goes to SuperLU.  Both routes measure the residual on that 3-D
-system, and the solution records which route ran.
+Solve: the Dirichlet data move to the right-hand side through the
+assembled matrix, and the interior vertices are solved.  Without bed or
+surface velocities every coefficient is constant on the uniform horizontal
+grid, and an orthonormal sine transform of the interior decouples the
+system into one banded column system per horizontal mode
+(`_numerics.solve_separable`).  Any velocity makes the system
+non-separable.  Restarted GMRES then solves the interior system,
+preconditioned by the separable inverse of the same configuration without
+velocities (`_numerics.separable_inverse`): the fast direct solver of the
+separable part as the preconditioner of the whole (Concus & Golub 1973).
+Where GMRES does not converge within its fixed iteration cap, as at very
+high Peclet numbers, the whole Dirichlet-pinned 3-D system goes to SuperLU.
+Every route measures the residual on that pinned system, and the solution
+records which route ran and how many GMRES iterations it took.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.
@@ -37,15 +43,23 @@ also use them to carry manufactured solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from ._numerics import (axis_neighbours, checked_residual, column_operator,
                         coo_square, on_grid, pin_rows, positive_diagonal,
-                        solve_separable, solve_sparse, two_point, upwind)
+                        separable_inverse, solve_separable, solve_sparse,
+                        two_point, upwind)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
+
+# GMRES on the advective route: relative residual target, restart length
+# and restart cycles before the direct fallback
+_GMRES_RTOL = 1e-13
+_GMRES_RESTART = 40
+_GMRES_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,15 @@ def _face_grids(mesh: _BedMesh, axis: int):
     return grids
 
 
+def _velocity(field, name: str, axis: int, grids) -> np.ndarray:
+    """Component `axis` of the velocity callable `field` on `grids`; raises
+    ValueError naming the field where it is not finite."""
+    v = np.asarray(field(*grids)[axis], dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
     idx = mesh.index
     weights = [mesh.w1, mesh.w2, mesh.w3]
@@ -188,7 +211,7 @@ def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
                   (mesh.diff[axis] * area / d_face).ravel())
         if mesh.velocity is not None:
             G = np.meshgrid(*_face_grids(mesh, axis), indexing="ij")
-            vcomp = np.asarray(mesh.velocity(*G)[axis], dtype=float)
+            vcomp = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, G)
             upwind(rows, cols, vals, L, R, (vcomp * area).ravel())
     vol = mesh.volumes().ravel()
     if mesh.reaction != 0.0:
@@ -248,8 +271,8 @@ def _assemble_surface(cfg: TransportConfig, meshp: _BedMesh,
                 mids = 0.5 * (x2[1:] + x2[:-1])
                 G1, G2 = np.meshgrid(x1, mids, indexing="ij")
                 length = w1[:, None] * np.ones((1, mids.size))
-            vcomp = np.asarray(cfg.surface_velocity(G1, G2)[axis],
-                               dtype=float)
+            vcomp = _velocity(cfg.surface_velocity, "surface_velocity", axis,
+                              (G1, G2))
             upwind(rows, cols, vals, *axis_neighbours(plane_p, axis),
                    (scale * vcomp * length).ravel())
     if surface_source is not None:
@@ -266,7 +289,8 @@ class TransportSolution:
     u_plus: np.ndarray
     u_minus: np.ndarray
     residual: float
-    route: str          # "separable" (mode by mode) or "splu"
+    route: str          # "separable" (mode by mode), "krylov" or "splu"
+    iterations: int     # GMRES iterations run, also before an splu fallback
 
     @property
     def trace_plus(self) -> np.ndarray:
@@ -315,38 +339,73 @@ def _assemble_system(cfg: TransportConfig, surface_source,
             meshp, meshm)
 
 
+def _interior_modes(A, meshp: _BedMesh, meshm: _BedMesh):
+    """The interior vertices as an (n1 - 1, n2 - 1, nz) index in the column
+    order of the separable solve, and the column operator (C, h1, h2) of a
+    velocity-free A on them."""
+    # vertex columns without the outer Dirichlet planes, ordered
+    # [minus bottom->top, plus bottom->top] so the column operator is
+    # banded; the side Dirichlet ring stays in the index
+    index = np.concatenate((meshm.index[:, :, 1:], meshp.index[:, :, :-1]),
+                           axis=2)
+    return (index[1:-1, 1:-1],) + column_operator(A, index, "dst1")
+
+
+def _solve_krylov(A, rhs, inner, modes):
+    """GMRES on the interior rows and columns of A, preconditioned by the
+    separable inverse of `modes`; (x, iterations), x None without
+    convergence."""
+    flat = inner.ravel()
+    precondition = separable_inverse(*modes, inner.shape, "dst1")
+    steps = []
+    x, info = spla.gmres(
+        A[flat][:, flat], rhs[flat], rtol=_GMRES_RTOL, atol=0.0,
+        restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
+        M=spla.LinearOperator((flat.size,) * 2, matvec=precondition),
+        callback=steps.append, callback_type="pr_norm")
+    return (x if info == 0 else None), len(steps)
+
+
 def solve_limit_transport(cfg: TransportConfig, surface_source=None,
                           surface_source_minus=None) -> TransportSolution:
-    """Solve the coupled transport problem.  Without velocities the beds are
-    horizontally uniform: the Dirichlet data move to the right-hand side and
-    the interior vertices are solved mode by mode in a sine basis
-    (`solve_separable`).  With any velocity the Dirichlet-pinned 3-D system
-    goes to SuperLU.  Either way the residual is measured on that system."""
+    """Solve the coupled transport problem on its interior vertices, with
+    the Dirichlet data moved to the right-hand side through the assembled
+    matrix.
+
+    Without velocities the beds are horizontally uniform and the interior
+    is solved mode by mode in a sine basis (`solve_separable`).  With any
+    velocity, restarted GMRES solves it, preconditioned by the separable
+    inverse of the same configuration without velocities; if GMRES does not
+    converge, the Dirichlet-pinned 3-D system goes to SuperLU.  Every route
+    measures the residual on that pinned system."""
     A, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
-    pinned, b_pinned = pin_rows(A, b, fixed, data)
+    rhs = b - A @ data
+    u = data.copy()
+    iterations = 0
     if (cfg.vel_plus is None and cfg.vel_minus is None
             and cfg.surface_velocity is None):
         route = "separable"
-        # vertex columns without the outer Dirichlet planes, ordered
-        # [minus bottom->top, plus bottom->top] so the column operator is
-        # banded; the side Dirichlet ring stays in the index
-        index = np.concatenate((meshm.index[:, :, 1:],
-                                meshp.index[:, :, :-1]), axis=2)
-        C, h1, h2 = column_operator(A, index, "dst1")
-        rhs = b - A @ data
-        inner = index[1:-1, 1:-1]
-        u = data.copy()
-        u[inner], _ = solve_separable(C, h1, h2, rhs[inner], "dst1")
-        residual = checked_residual(pinned, u, b_pinned)
+        inner, *modes = _interior_modes(A, meshp, meshm)
+        u[inner], _ = solve_separable(*modes, rhs[inner], "dst1")
     else:
-        route = "splu"
-        u, residual = solve_sparse(pinned, b_pinned)
+        still = replace(cfg, vel_plus=None, vel_minus=None,
+                        surface_velocity=None)
+        inner, *modes = _interior_modes(_assemble_system(still, None, None)[0],
+                                        meshp, meshm)
+        x, iterations = _solve_krylov(A, rhs, inner, modes)
+        route = "krylov" if x is not None else "splu"
+        if x is not None:
+            u[inner.ravel()] = x
+    if route == "splu":
+        u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
+    else:
+        residual = checked_residual(A, u, b, fixed, data)
     return TransportSolution(
         config=cfg,
         u_plus=u[:meshp.n].reshape(meshp.shape),
         u_minus=u[meshp.n:].reshape(meshm.shape),
-        residual=residual, route=route)
+        residual=residual, route=route, iterations=iterations)
 
 
 def mass_balance_gap(sol: TransportSolution, surface_source=None,

@@ -209,4 +209,4 @@ def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
     return limit_transport.TransportSolution(
         config=cfg, u_plus=u[:meshp.n].reshape(meshp.shape),
         u_minus=u[meshp.n:].reshape(meshm.shape), residual=residual,
-        route="splu")
+        route="splu", iterations=0)

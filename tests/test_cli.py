@@ -152,6 +152,7 @@ def test_single_stage_with_dependencies(tmp_path):
     assert run(cfg, "transport") == 0
     transport = json.loads((out / "transport.json").read_text())
     assert transport["route"] == "separable"
+    assert transport["iterations"] == 0
 
 
 def test_solver_error_skips_dependents(tmp_path):

@@ -304,21 +304,75 @@ def test_separable_route_matches_splu_oracle():
     assert mass_balance_gap(sol, top, bottom) < 1e-12
 
 
+def _varying_fields(scale=1.0):
+    """Velocities that vary in x1 and x2 in both beds, with a downward
+    mean, and a surface velocity: the non-separable input of the advective
+    benchmark."""
+    return dict(
+        vel_plus=lambda a, b, c: (scale * np.sin(np.pi * b),
+                                  scale * 0.8 * np.cos(np.pi * a),
+                                  -0.5 * scale * (1.0 + 0.5 * np.cos(a * b))),
+        vel_minus=lambda a, b, c: (scale * 0.6 * np.cos(np.pi * (a + b)),
+                                   -scale * np.sin(np.pi * a),
+                                   -0.4 * scale * np.ones_like(a)),
+        surface_velocity=lambda a, b: (scale * 0.3 * np.sin(2 * np.pi * b),
+                                       -scale * 0.2 * np.sin(2 * np.pi * a)))
+
+
+_CONSTANT_FIELDS = {
+    "vel_plus": lambda a, b, c: (0.3 * np.ones_like(a), 0.0 * a,
+                                 -0.2 * np.ones_like(a)),
+    "vel_minus": lambda a, b, c: (0.0 * a, -0.4 * np.ones_like(a),
+                                  -0.1 * np.ones_like(a)),
+    "surface_velocity": lambda a, b: (0.2 * np.ones_like(a), 0.1 * b),
+}
+
+
 @pytest.mark.parametrize("velocity", ["vel_plus", "vel_minus",
-                                      "surface_velocity"])
+                                      "surface_velocity", "varying"])
 def test_any_velocity_takes_the_general_route(velocity):
-    fields = {
-        "vel_plus": lambda a, b, c: (0.3 * np.ones_like(a), 0.0 * a,
-                                     -0.2 * np.ones_like(a)),
-        "vel_minus": lambda a, b, c: (0.0 * a, -0.4 * np.ones_like(a),
-                                      -0.1 * np.ones_like(a)),
-        "surface_velocity": lambda a, b: (0.2 * np.ones_like(a), 0.1 * b),
-    }
-    cfg = _uniform_case(**{velocity: fields[velocity]})
+    if velocity == "varying":
+        cfg = _uniform_case(**_varying_fields())
+    else:
+        cfg = _uniform_case(**{velocity: _CONSTANT_FIELDS[velocity]})
     top, bottom = _surface_sources()
     sol = solve_limit_transport(cfg, top, bottom)
     ref = limit_transport_splu(cfg, top, bottom)
-    assert sol.route == "splu"
+    assert sol.route == "krylov" and 0 < sol.iterations
+    for got, want in ((sol.u_plus, ref.u_plus), (sol.u_minus, ref.u_minus)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (
+            1.0 + np.max(np.abs(want)))
+    assert sol.residual <= 1e-12
+    assert mass_balance_gap(sol, top, bottom) < 1e-12
+
+
+def test_krylov_route_repeats_exactly():
+    cfg = _uniform_case(**_varying_fields())
+    first = solve_limit_transport(cfg)
+    again = solve_limit_transport(cfg)
+    assert first.route == again.route == "krylov"
+    assert np.array_equal(first.u_plus, again.u_plus)
+    assert np.array_equal(first.u_minus, again.u_minus)
+
+
+def test_high_peclet_falls_back_to_splu():
+    cfg = _uniform_case(**_varying_fields(scale=1e4))
+    top, bottom = _surface_sources()
+    sol = solve_limit_transport(cfg, top, bottom)
+    ref = limit_transport_splu(cfg, top, bottom)
+    assert sol.route == "splu" and sol.iterations > 0
     assert np.array_equal(sol.u_plus, ref.u_plus)
     assert np.array_equal(sol.u_minus, ref.u_minus)
     assert sol.residual == ref.residual
+
+
+@pytest.mark.parametrize("name", ["vel_plus", "vel_minus",
+                                  "surface_velocity"])
+def test_non_finite_velocity_is_rejected(name):
+    field = _CONSTANT_FIELDS[name]
+    if name == "surface_velocity":
+        bad = lambda a, b: (field(a, b)[0], np.where(a > 0.5, np.nan, b))
+    else:
+        bad = lambda a, b, c: field(a, b, c)[:2] + (np.full_like(a, np.inf),)
+    with pytest.raises(ValueError, match=name):
+        solve_limit_transport(_uniform_case(**{name: bad}))
