@@ -16,7 +16,6 @@ from .stochastic import (  # noqa: F401
     PhaseSequence,
     ErgodicStats,
     build_path,
-    ergodic_average,
     estimate_brackets,
 )
 from .fissure_transport import (  # noqa: F401

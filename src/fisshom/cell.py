@@ -26,7 +26,7 @@ and cross-checked against the flux-average form internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,14 +159,12 @@ def _conductivity_field(mesh: CellMesh, cond) -> tuple[np.ndarray, np.ndarray | 
 
 @dataclass
 class PeriodicCellSolution:
-    """Corrector fields and effective tensor of a periodic torus cell problem."""
+    """Effective tensor of a periodic torus cell problem."""
 
     tensor: np.ndarray            # energy form, symmetric
     tensor_flux: np.ndarray       # flux-average form, equals tensor at solve tol
-    correctors: list[np.ndarray]  # one per driven direction
     div_residual: float           # max cell imbalance relative to flux scale
     porosity: float
-    mesh: CellMesh = field(repr=False)
 
 
 def _solve_periodic_cell(mesh: CellMesh, cond) -> PeriodicCellSolution:
@@ -203,7 +201,6 @@ def _solve_periodic_cell(mesh: CellMesh, cond) -> PeriodicCellSolution:
     keep = free[free != pin]
     A_red = A[keep][:, keep]
 
-    correctors = []
     face_u = []       # per direction: list over axes of u_f arrays
     max_imbalance = 0.0
     flux_scale = 0.0
@@ -219,7 +216,6 @@ def _solve_periodic_cell(mesh: CellMesh, cond) -> PeriodicCellSolution:
         pi[~mesh.fluid] = 0.0
         mean = pi[mesh.fluid].mean() if mesh.fluid.any() else 0.0
         pi = np.where(mesh.fluid, pi - mean, 0.0)
-        correctors.append(pi)
         us = []
         for ax in range(d):
             dpi = np.roll(pi, -1, axis=ax) - pi
@@ -253,8 +249,7 @@ def _solve_periodic_cell(mesh: CellMesh, cond) -> PeriodicCellSolution:
         tensor_e = 0.5 * (tensor_f + tensor_f.T)
     div_rel = max_imbalance / (flux_scale + 1e-300)
     return PeriodicCellSolution(tensor=tensor_e, tensor_flux=tensor_f,
-                                correctors=correctors, div_residual=div_rel,
-                                porosity=mesh.porosity, mesh=mesh)
+                                div_residual=div_rel, porosity=mesh.porosity)
 
 
 def solve_darcy_cell(mesh: CellMesh, permeability=1.0) -> PeriodicCellSolution:
@@ -361,15 +356,12 @@ class DragCell:
     """Tangential drag correctors on the cross-section.
 
     With the in-plane constraint dropped (see module docstring) the
-    corrector eta_k is profile * e_k, the drag tensor is
-    k0 * I, and div_proxy records the size of the in-plane divergence those
-    correctors would have, reported as a diagnostic of the reduction.
+    corrector eta_k is profile * e_k and the drag tensor is k0 * I.
     """
 
     K_f: np.ndarray
     gram: np.ndarray           # energy form int grad eta_k : grad eta_l
     torsion: TorsionCell
-    div_proxy: float
 
     @property
     def k0(self) -> float:
@@ -382,9 +374,7 @@ def solve_stokes_cell(n: int = 256, torsion: TorsionCell | None = None
     k0 = cell.k0_integral
     K_f = np.array([[k0, 0.0], [0.0, k0]])
     gram = np.array([[cell.k0_energy, 0.0], [0.0, cell.k0_energy]])
-    h = 1.0 / cell.n
-    dmax = float(np.max(np.abs(np.diff(cell.profile, axis=0)))) / h
-    return DragCell(K_f=K_f, gram=gram, torsion=cell, div_proxy=dmax)
+    return DragCell(K_f=K_f, gram=gram, torsion=cell)
 
 
 def compute_kstar(stats: ErgodicStats, permeability=1.0, order: int = 12

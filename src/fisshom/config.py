@@ -75,10 +75,11 @@ def _numbers(path: str, value, length=None) -> tuple[float, ...]:
     return tuple(_number(f"{path}[{k}]", v) for k, v in enumerate(value))
 
 
-def _shape(path: str, value) -> list[int]:
-    """Bed grid (n1, n2, nz_plus, nz_minus), each at least 2 cells."""
+def _shape(path: str, value, vertical_lo: int) -> list[int]:
+    """Bed grid (n1, n2, nz_plus, nz_minus): at least 2 horizontal and
+    `vertical_lo` vertical cells."""
     if isinstance(value, (list, tuple)):
-        shape = [_integer(f"{path}[{k}]", v, lo=2)
+        shape = [_integer(f"{path}[{k}]", v, lo=2 if k < 2 else vertical_lo)
                  for k, v in enumerate(value)]
         if len(shape) == 4:
             return shape
@@ -320,7 +321,9 @@ def parse_config(path: str | None = None, text: str | None = None,
         "depth_minus_length": _number(
             "flow.depth_minus_length",
             flow_sec.get("depth_minus_length", 1.0), lo=0.0, open_lo=True),
-        "shape": _shape("flow.shape", flow_sec.get("shape", [8, 8, 8, 8])),
+        # as FlowConfig: at least 3 vertical cells per bed
+        "shape": _shape("flow.shape", flow_sec.get("shape", [8, 8, 8, 8]),
+                        3),
         "gravity_plus": _number("flow.gravity_plus",
                                 flow_sec.get("gravity_plus", 0.0)),
         "gravity_minus": _number("flow.gravity_minus",
@@ -362,7 +365,7 @@ def parse_config(path: str | None = None, text: str | None = None,
         "bc_minus": _number("transport.bc_minus",
                             tr_sec.get("bc_minus", 0.0)),
         "shape": _shape("transport.shape",
-                        tr_sec.get("shape", [8, 8, 8, 8])),
+                        tr_sec.get("shape", [8, 8, 8, 8]), 2),
         "depth_plus_length": _number(
             "transport.depth_plus_length",
             tr_sec.get("depth_plus_length", 1.0), lo=0.0, open_lo=True),

@@ -35,7 +35,7 @@ from scipy.integrate import cumulative_simpson
 
 from ._numerics import fsum
 from .fissures import Fissure
-from .stochastic import WINDOW_LEN, StationaryPath, window_means
+from .stochastic import WINDOW_LEN, window_means
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,14 @@ class FissureODEConfig:
     diffusion: float
     reaction: float = 0.0
     v3: float = 0.0
-    dispersion: StationaryPath | None = None  # optional depth diffusivity D*(s)
 
     def __post_init__(self):
-        if self.diffusion <= 0:
+        if not self.diffusion > 0:
             raise ValueError("diffusion must be positive")
-        if self.reaction < 0:
+        if not self.reaction >= 0:
             raise ValueError("reaction must be nonnegative")
         h = self.fissure.geometry.height
-        if abs(h * self.v3 / self.diffusion) > 50.0:
+        if not abs(h * self.v3 / self.diffusion) <= 50.0:
             raise ValueError("drift Peclet number too large for the fissure "
                              "layer model")
 
@@ -116,7 +115,6 @@ class FissureODESolution:
     x3: np.ndarray
     values: np.ndarray
     flux_exp: np.ndarray
-    method: str
     iterations: int
 
     @property
@@ -199,8 +197,7 @@ def _solve(cfg: FissureODEConfig, homogeneous: bool,
         iters = len(x) - 1
     else:
         raise ValueError("method must be 'volterra' or 'rk4'")
-    return FissureODESolution(x3=x, values=u, flux_exp=flux, method=method,
-                              iterations=iters)
+    return FissureODESolution(x3=x, values=u, flux_exp=flux, iterations=iters)
 
 
 def solve_w(cfg: FissureODEConfig, method: str = "volterra"
@@ -261,27 +258,17 @@ class TransmissionCoeffs:
 
 
 def transmission_coeffs(diffusion: float, reaction: float, v3: float,
-                        height: float, mean_qq: float, mean_inv_qq: float,
-                        mean_inv_dqq: float | None = None,
-                        molecular_diffusion: float | None = None
+                        height: float, mean_qq: float, mean_inv_qq: float
                         ) -> TransmissionCoeffs:
     """Exchange coefficients from the layer averages.
 
-    Molecular case: r_hat = sqrt(reaction * mean_qq * mean_inv_qq /
-    diffusion), scale = diffusion * r_hat / (mean_inv_qq * sinh(r_hat *
-    height)), reducing to diffusion / (height * mean_inv_qq) without
-    reaction.  Dispersive case (mean_inv_dqq = <1/(D* qq)> given): the same
-    formulas with mean_inv_qq / diffusion replaced by mean_inv_dqq, which
-    recovers the molecular form when D* is identically the molecular value.
-    The advective factor always uses the molecular diffusivity.
+    r_hat = sqrt(reaction * mean_qq * mean_inv_qq / diffusion), scale =
+    diffusion * r_hat / (mean_inv_qq * sinh(r_hat * height)), reducing to
+    diffusion / (height * mean_inv_qq) without reaction.
     """
-    if height <= 0 or diffusion <= 0:
+    if not (height > 0 and diffusion > 0):
         raise ValueError("height and diffusion must be positive")
-    d_mol = molecular_diffusion if molecular_diffusion is not None else diffusion
-    if mean_inv_dqq is None:
-        inv_resistance = mean_inv_qq / diffusion
-    else:
-        inv_resistance = mean_inv_dqq
+    inv_resistance = mean_inv_qq / diffusion
     r_hat = math.sqrt(reaction * mean_qq * inv_resistance)
     if r_hat * height < 1e-8:
         scale = 1.0 / (height * inv_resistance)
@@ -289,7 +276,7 @@ def transmission_coeffs(diffusion: float, reaction: float, v3: float,
     else:
         scale = r_hat / (inv_resistance * math.sinh(r_hat * height))
         cosh_f = math.cosh(r_hat * height)
-    advective = math.exp(height * v3 / d_mol)
+    advective = math.exp(height * v3 / diffusion)
     return TransmissionCoeffs(exchange_scale=scale, cosh_factor=cosh_f,
                               advective_factor=advective, r_hat=r_hat)
 
@@ -317,10 +304,8 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
 
     kind "advective": zero-reaction quotient-of-integrals profile (exact for
     R = 0, any drift).  kind "reactive": fundamental-pair profile
-    u_plus * w + c * z.  kind "dispersive": advective profile with the depth
-    diffusivity path from cfg.dispersion weighting the resistance integral.
-    Fluxes are the diffusive fluxes D* qq u' at the two ends, positive
-    downward.
+    u_plus * w + c * z.  Fluxes are the diffusive fluxes D qq u' at the two
+    ends, positive downward.
     """
     D, v = cfg.diffusion, cfg.v3
     if kind == "reactive":
@@ -341,35 +326,20 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
             u_plus * float(w_sol.flux_exp[0]) + c * float(z_sol.flux_exp[0]))
         return FissureProfile(x3=w_sol.x3, values=values, flux_top=flux_top,
                               flux_bottom=flux_bottom, kind=kind)
+    if kind != "advective":
+        raise ValueError("kind must be 'advective' or 'reactive'")
+    if cfg.reaction != 0.0:
+        raise ValueError("profile kind 'advective' requires zero reaction")
     x = _grid(cfg)
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
-    if kind == "advective":
-        weight = np.exp(-x * v / D) / qq
-    elif kind == "dispersive":
-        if cfg.dispersion is None:
-            raise ValueError("dispersive profile needs cfg.dispersion")
-        s = cfg.fissure.geometry.stretched_depth(x)
-        dstar = np.asarray(cfg.dispersion(s), dtype=float)
-        if np.any(dstar <= 0):
-            raise ValueError("dispersion path must stay positive")
-        weight = np.exp(-x * v / D) / (qq * dstar)
-    else:
-        raise ValueError("kind must be 'advective', 'reactive', or 'dispersive'")
-    if cfg.reaction != 0.0:
-        raise ValueError(f"profile kind {kind!r} requires zero reaction")
+    weight = np.exp(-x * v / D) / qq
     # N(x) = int_x^0 weight = -int_0^x weight
     N = -_cumulative_from_zero(weight, x)
     Nb = float(N[0])
     values = u_plus + (u_minus - u_plus) * N / Nb
-    # u' = -(u_minus - u_plus) * weight / Nb; diffusive flux D* qq u'
-    if kind == "advective":
-        flux_top = D * (u_plus - u_minus) * float(qq[-1] * weight[-1]) / Nb
-        flux_bottom = D * (u_plus - u_minus) * float(qq[0] * weight[0]) / Nb
-    else:
-        flux_top = (u_plus - u_minus) * float(
-            dstar[-1] * qq[-1] * weight[-1]) / Nb
-        flux_bottom = (u_plus - u_minus) * float(
-            dstar[0] * qq[0] * weight[0]) / Nb
+    # u' = -(u_minus - u_plus) * weight / Nb; diffusive flux D qq u'
+    flux_top = D * (u_plus - u_minus) * float(qq[-1] * weight[-1]) / Nb
+    flux_bottom = D * (u_plus - u_minus) * float(qq[0] * weight[0]) / Nb
     return FissureProfile(x3=x, values=values, flux_top=flux_top,
                           flux_bottom=flux_bottom, kind=kind)
 

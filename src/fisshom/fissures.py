@@ -45,10 +45,10 @@ class GeometryParams:
         if not 0.0 < self.theta < 2.0 / 3.0:
             raise ValueError(
                 f"theta must be in (0, 2/3), got {self.theta}")
-        if self.height <= 0.0:
+        if not self.height > 0.0:
             raise ValueError("height must be positive")
         for ext in (self.x1_extent, self.x2_extent):
-            if ext[1] <= ext[0]:
+            if not ext[1] > ext[0]:
                 raise ValueError("extents must be increasing intervals")
 
     def stretched_depth(self, x3):
@@ -92,23 +92,6 @@ class Fissure:
 
     def line(self, axis: int) -> HalfPaths:
         return self.line_x1 if axis == 0 else self.line_x2
-
-    def cross_rect(self, x3: float):
-        """Physical bounds ((x1_lo, x1_hi), (x2_lo, x2_hi)) at height x3."""
-        s = self.geometry.stretched_depth(x3)
-        eps = self.geometry.epsilon
-        out = []
-        for axis, base in ((0, self.i * eps), (1, self.j * eps)):
-            hp = self.line(axis)
-            out.append((base + eps * hp.minus(s), base + eps * hp.plus(s)))
-        return tuple(out)
-
-
-def aperture(fissure: Fissure, s, axis: int = 0):
-    """Half-opening pair (a_minus, a_plus) in lattice units at stretched
-    depth s; the physical opening is eps times this."""
-    hp = fissure.line(axis)
-    return hp.minus(s), hp.plus(s)
 
 
 def certified_offsets(q_path: StationaryPath, r_path: StationaryPath

@@ -27,10 +27,6 @@ decouples it into one banded column system per horizontal mode, and all of
 them go to one sparse factorization with fill linear in the unknowns
 (`_numerics.solve_separable`).  The residual is measured on the assembled
 3-D system.
-
-A separate staggered-grid solver handles the tangential flow sheet on the
-cross-section: in-plane Darcy flow with a drag that combines the fissure
-resistance with slip against both beds, incompressible, impermeable rim.
 """
 
 from __future__ import annotations
@@ -40,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import (axis_neighbours, checked_residual, column_operator,
-                        coo_square, on_grid, pin_rows, positive_diagonal,
-                        solve_separable, solve_sparse, sym_inv_sqrt,
-                        two_point)
+                        coo_square, on_grid, positive_diagonal,
+                        solve_separable, two_point)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
 
@@ -223,7 +218,6 @@ def _assemble_bed(bed: _Bed, bc: FlowBC, rows, cols, vals, b):
 @dataclass
 class LimitFlowSolution:
     config: FlowConfig
-    bc: FlowBC
     p_plus: np.ndarray
     p_minus: np.ndarray
     trace_plus: np.ndarray
@@ -356,10 +350,10 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
         shift = float(p_plus.mean())
         p_plus = p_plus - shift
         p_minus = p_minus - shift
-    return _solution(cfg, bc, p_plus, p_minus, residual, "separable")
+    return _solution(cfg, p_plus, p_minus, residual, "separable")
 
 
-def _solution(cfg: FlowConfig, bc: FlowBC, p_plus, p_minus, residual: float,
+def _solution(cfg: FlowConfig, p_plus, p_minus, residual: float,
               route: str) -> LimitFlowSolution:
     """Interface traces, fluxes and tube velocities of solved pressures."""
     gam_p, gam_m, lam, Minv = _trace_system(cfg)
@@ -374,132 +368,7 @@ def _solution(cfg: FlowConfig, bc: FlowBC, p_plus, p_minus, residual: float,
                              cfg.mu_fissure, cfg.height,
                              cfg.stats.mean_q2, cfg.stats.mean_inv_q2)
     return LimitFlowSolution(
-        config=cfg, bc=bc, p_plus=p_plus, p_minus=p_minus,
+        config=cfg, p_plus=p_plus, p_minus=p_minus,
         trace_plus=trace_plus, trace_minus=trace_minus,
         interface_flux=V, tube_velocity=tube,
         mean_p_minus=float(p_minus.mean()), residual=residual, route=route)
-
-
-# ----------------------------------------------------------------------
-# tangential flow sheet
-
-
-@dataclass(frozen=True)
-class TangentialConfig:
-    """In-plane flow on the fissure cross-section.
-
-    The drag per unit velocity combines the tube resistance
-    (mu_fissure / <q>^2) inv(K_f) with the slip resistance
-    (gamma / height) * (inv sqrt(K*+) + inv sqrt(K*-)) restricted to the
-    in-plane block; both must be diagonal for the staggered scheme.
-    """
-
-    k_f: object
-    kstar_plus: object
-    kstar_minus: object
-    mu_fissure: float
-    slip_gamma: float
-    height: float
-    mean_q: float
-    x1_extent: tuple[float, float] = (0.0, 1.0)
-    x2_extent: tuple[float, float] = (0.0, 1.0)
-    shape: tuple[int, int] = (32, 32)
-
-    def resistance(self) -> np.ndarray:
-        k_f = np.asarray(self.k_f, dtype=float)
-        if k_f.ndim == 0:
-            k_f = np.diag([float(k_f)] * 2)
-        if k_f.shape != (2, 2):
-            raise ValueError("k_f must be a scalar or 2x2")
-        slip = np.zeros((2, 2))
-        for ks in (self.kstar_plus, self.kstar_minus):
-            ks = np.asarray(ks, dtype=float)
-            if ks.shape == (3, 3):
-                ks = ks[:2, :2]
-            elif ks.ndim == 0:
-                ks = np.diag([float(ks)] * 2)
-            if ks.shape != (2, 2):
-                raise ValueError("kstar blocks must be scalar, 2x2, or 3x3")
-            slip += sym_inv_sqrt(ks)
-        r = (self.mu_fissure / self.mean_q ** 2) * np.linalg.inv(k_f) \
-            + (self.slip_gamma / self.height) * slip
-        off = abs(r[0, 1]) + abs(r[1, 0])
-        if not off <= 1e-12 * (np.max(np.abs(r)) + 1e-300):
-            raise ValueError("tangential resistance must be diagonal")
-        if not (r[0, 0] > 0 and r[1, 1] > 0):
-            raise ValueError("tangential resistance must be positive")
-        return np.array([r[0, 0], r[1, 1]])
-
-
-@dataclass
-class TangentialFlowSolution:
-    config: TangentialConfig
-    u: np.ndarray        # x1-velocity on vertical faces, (n1+1, n2)
-    v: np.ndarray        # x2-velocity on horizontal faces, (n1, n2+1)
-    pressure: np.ndarray  # cell-centered, mean zero
-    div_sup: float
-
-    def energy(self) -> float:
-        cfg = self.config
-        r1, r2 = cfg.resistance()
-        d1 = (cfg.x1_extent[1] - cfg.x1_extent[0]) / cfg.shape[0]
-        d2 = (cfg.x2_extent[1] - cfg.x2_extent[0]) / cfg.shape[1]
-        cell = d1 * d2
-        return 0.5 * cell * (r1 * float(np.sum(self.u ** 2))
-                             + r2 * float(np.sum(self.v ** 2)))
-
-
-def solve_tangential_darcy(cfg: TangentialConfig, forcing
-                           ) -> TangentialFlowSolution:
-    """Incompressible in-plane Darcy flow with an impermeable rim.
-
-    forcing(x1, x2) returns the two in-plane force components; it is
-    evaluated at face centers.  The pressure Poisson problem eliminates the
-    velocities, which are recovered face by face afterwards.
-    """
-    r1, r2 = cfg.resistance()
-    n1, n2 = cfg.shape
-    d1 = (cfg.x1_extent[1] - cfg.x1_extent[0]) / n1
-    d2 = (cfg.x2_extent[1] - cfg.x2_extent[0]) / n2
-    x1e = np.linspace(*cfg.x1_extent, n1 + 1)
-    x2e = np.linspace(*cfg.x2_extent, n2 + 1)
-    x1c = 0.5 * (x1e[1:] + x1e[:-1])
-    x2c = 0.5 * (x2e[1:] + x2e[:-1])
-
-    def force(axis, X1, X2):
-        out = forcing(X1, X2)
-        return np.asarray(out[axis], dtype=float)
-
-    # interior face forcings
-    Xu1, Xu2 = np.meshgrid(x1e[1:-1], x2c, indexing="ij")
-    f_u = force(0, Xu1, Xu2)                      # (n1-1, n2)
-    Xv1, Xv2 = np.meshgrid(x1c, x2e[1:-1], indexing="ij")
-    f_v = force(1, Xv1, Xv2)                      # (n1, n2-1)
-
-    idx = np.arange(n1 * n2).reshape(n1, n2)
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    b = np.zeros(n1 * n2)
-    for axis, (tau, f, width, r) in enumerate(
-            ((d2 / (r1 * d1), f_u, d2, r1), (d1 / (r2 * d2), f_v, d1, r2))):
-        lo, hi = axis_neighbours(idx, axis)
-        two_point(rows, cols, vals, lo, hi, tau)
-        np.add.at(b, lo, -width * f.ravel() / r)
-        np.add.at(b, hi, +width * f.ravel() / r)
-
-    gauge = np.zeros(n1 * n2, dtype=bool)
-    gauge[0] = True
-    A, b = pin_rows(coo_square(rows, cols, vals, n1 * n2).tocsr(), b, gauge,
-                    0.0)
-    pi, _ = solve_sparse(A, b)
-    pi = pi.reshape(n1, n2)
-    pi = pi - pi.mean()
-
-    u = np.zeros((n1 + 1, n2))
-    v = np.zeros((n1, n2 + 1))
-    u[1:-1, :] = (f_u - np.diff(pi, axis=0) / d1) / r1
-    v[:, 1:-1] = (f_v - np.diff(pi, axis=1) / d2) / r2
-    div = np.diff(u, axis=0) / d1 + np.diff(v, axis=1) / d2
-    return TangentialFlowSolution(config=cfg, u=u, v=v, pressure=pi,
-                                  div_sup=float(np.max(np.abs(div))))

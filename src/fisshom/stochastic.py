@@ -2,8 +2,7 @@
 
 Fissure geometry and transport coefficients are driven by stationary, bounded,
 smooth random paths: an aperture path q (fissure width), a centerline path r
-(lateral drift of the fissure axis), and optionally a dispersion path
-modulating diffusivity with depth.  Bounds are certified analytically at
+(lateral drift of the fissure axis).  Bounds are certified analytically at
 construction time from the path parameters; nothing is clipped after sampling,
 so every sample of a validated path lies inside its declared range.
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._numerics import fsum, panel_quadrature, uniform_from_hash
 
-_KINDS = ("aperture_q", "centerline_r", "dispersion_D", "constant", "shot_noise")
+_KINDS = ("aperture_q", "centerline_r", "constant", "shot_noise")
 
 _TAG_PHASE = 101
 _TAG_ALPHA = 11
@@ -39,7 +38,6 @@ class ProcessParams:
       aperture_q   requires 0 < lower_bound <= mean - sum|amps| and
                    mean + sum|amps| <= upper_bound < 1
       centerline_r requires |mean| + sum|amps| <= 1
-      dispersion_D requires mean - sum|amps| >= lower_bound > 0
       constant     requires no amplitudes
       shot_noise   Gaussian-bump lattice path, see ShotNoisePath
 
@@ -308,13 +306,6 @@ def build_path(params: ProcessParams) -> StationaryPath:
     elif params.kind == "centerline_r":
         if abs(params.mean) + (hi - lo) / 2.0 > 1.0 + 1e-15:
             raise ValueError("centerline path must stay within [-1, 1]")
-    elif params.kind == "dispersion_D":
-        if params.lower_bound is None:
-            raise ValueError("dispersion path requires a positive lower_bound")
-        if not (0.0 < params.lower_bound <= lo):
-            raise ValueError(
-                f"dispersion lower bound violated: range min {lo:.6g} below "
-                f"lower_bound={params.lower_bound}")
     if params.deriv_bound is not None and params.kind != "constant":
         for order in (1, 2, 3):
             b = path.derivative_bound(order)
@@ -339,7 +330,7 @@ class PhaseSequence:
     seed: int
 
     def __post_init__(self):
-        if self.bound < 0:
+        if not self.bound >= 0:
             raise ValueError("phase bound must be nonnegative")
 
     def _draw(self, tag: int, i):
@@ -355,14 +346,6 @@ class PhaseSequence:
     def window(self, lo: int, hi: int):
         idx = np.arange(lo, hi, dtype=np.int64)
         return self._draw(_TAG_ALPHA, idx), self._draw(_TAG_BETA, idx)
-
-
-@dataclass(frozen=True)
-class BracketEstimate:
-    value: float
-    stderr: float
-    window_T: float
-    n_windows: int
 
 
 @dataclass(frozen=True)
@@ -414,28 +397,6 @@ def window_means(T: float, window_len: float, max_freq: float,
         L = edges[k + 1] - edges[k]
         rows.append([fsum(v) / L for v in weighted(nodes, weights)])
     return [np.array(col) for col in zip(*rows)]
-
-
-def ergodic_average(path: StationaryPath, T: float,
-                    transform: Callable[[np.ndarray], np.ndarray] | None = None
-                    ) -> BracketEstimate:
-    """Windowed time average of transform(path) over [-T, T].
-
-    The estimate is the mean of the window means of `window_means` and
-    stderr their standard error.  For a quasi-periodic path the bias decays
-    like 1/T while stderr decays like T^{-1/2} by construction.
-    """
-    def weighted(nodes, weights):
-        vals = np.asarray(path(nodes), dtype=float)
-        if transform is not None:
-            vals = transform(vals)
-        return (weights * vals,)
-
-    means, = window_means(T, WINDOW_LEN, path.max_frequency, weighted)
-    W = len(means)
-    value = fsum(means) / W
-    stderr = float(np.std(means, ddof=1) / math.sqrt(W))
-    return BracketEstimate(value=value, stderr=stderr, window_T=T, n_windows=W)
 
 
 def estimate_brackets(q_path: StationaryPath, T: float,

@@ -142,12 +142,16 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                         phase_bound: float = PHASE_BOUND) -> SweepSummary:
     """Tube-union volume integrals against the surface-density limit.
 
-    Test functions: the constant 1 and the coordinate x1.  The dominant
-    finite-scale error is the uncovered boundary ring of width eps, so the
-    medians fall like 2 eps down to the small phase-average bias.  The
-    fast aperture variant keeps that bias (common-mode across fissures,
-    decaying only like the stretched window length) well below the ring
-    term on the default ladder.
+    Test functions: the constant 1 and the coordinate x1.  A realization's
+    relative error is (1 + ring)(1 + common) - 1.  The ring term is the
+    uncovered boundary ring of width eps: deterministic, it falls like
+    2 eps.  The common term is one windowed ergodic error of the aperture
+    product, shared by every tube since all lines follow one path up to
+    bounded phases; its window is height * eps^(-theta), so it decays only
+    like eps^theta, more slowly than the ring term, and need not fall from
+    one rung to the next.  `params_q` defaults to the fast aperture
+    APERTURE_FAST; the pipeline's sweep stage passes the configured
+    aperture instead (frequencies 1 and sqrt 2 by default).
     """
     stats = reference_stats(params_q, params_r)
     tests = {

@@ -197,7 +197,7 @@ def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
         shift = float(p_plus.mean())
         p_plus = p_plus - shift
         p_minus = p_minus - shift
-    return limit_flow._solution(cfg, bc, p_plus, p_minus, residual, "splu")
+    return limit_flow._solution(cfg, p_plus, p_minus, residual, "splu")
 
 
 def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):

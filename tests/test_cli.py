@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -76,6 +77,8 @@ def test_value_errors_carry_key_path():
         parse_config(text="transport:\n  bc_plus: -.inf\n")
     with pytest.raises(ConfigError, match=r"flow\.shape.*4 entries"):
         parse_config(text="flow:\n  shape: 8\n")
+    with pytest.raises(ConfigError, match=r"flow\.shape\[2\].*>= 3"):
+        parse_config(text="flow:\n  shape: [8, 8, 2, 8]\n")
     with pytest.raises(ConfigError, match=r"transport\.shape.*4 entries"):
         parse_config(text="transport:\n  shape: 8\n")
 
@@ -157,13 +160,14 @@ def test_single_stage_with_dependencies(tmp_path):
 
 def test_solver_error_skips_dependents(tmp_path):
     out = tmp_path / "out"
-    # the flow model needs three vertical cells per bed; two slip past the
-    # schema and must surface as a stage failure, not a crash
+    # the flow model needs three vertical cells per bed; the schema rejects
+    # two, so the config is edited past it to reach the solver's own check,
+    # which must surface as a stage failure, not a crash
     cfg = parse_config(text=f"""
 run: {{output_dir: "{out}"}}
 cell: {{resolution: 64, volume_resolution: 8, surface_resolution: 16}}
-flow: {{shape: [4, 4, 2, 2]}}
 """)
+    cfg = replace(cfg, flow={**cfg.flow, "shape": [4, 4, 2, 2]})
     assert run(cfg, "transport") == 3
     man = json.loads((out / "manifest.json").read_text())
     statuses = {s["name"]: s["status"] for s in man["steps"]}

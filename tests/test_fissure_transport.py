@@ -58,19 +58,20 @@ def random_fissure(seed, eps=0.02, theta=0.5, height=1.0, q_seed=7):
 
 def test_config_validation():
     fis = constant_fissure()
-    with pytest.raises(ValueError, match="diffusion"):
-        FissureODEConfig(fissure=fis, diffusion=0.0)
-    with pytest.raises(ValueError, match="reaction"):
-        FissureODEConfig(fissure=fis, diffusion=1.0, reaction=-1.0)
-    with pytest.raises(ValueError, match="Peclet"):
-        FissureODEConfig(fissure=fis, diffusion=0.01, v3=2.0)
+    for diffusion in (0.0, math.nan):
+        with pytest.raises(ValueError, match="diffusion"):
+            FissureODEConfig(fissure=fis, diffusion=diffusion)
+    for reaction in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="reaction"):
+            FissureODEConfig(fissure=fis, diffusion=1.0, reaction=reaction)
+    for D, v3 in ((0.01, 2.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="Peclet"):
+            FissureODEConfig(fissure=fis, diffusion=D, v3=v3)
     cfg = FissureODEConfig(fissure=fis, diffusion=1.0, reaction=0.5)
     with pytest.raises(ValueError, match="zero reaction"):
         build_profile(cfg, 1.0, 0.0, kind="advective")
     with pytest.raises(ValueError, match="kind"):
         build_profile(cfg, 1.0, 0.0, kind="nope")
-    with pytest.raises(ValueError, match="dispersion"):
-        build_profile(replace(cfg, reaction=0.0), 1.0, 0.0, kind="dispersive")
     with pytest.raises(ValueError, match="method"):
         solve_w(cfg, method="euler")
 
@@ -233,33 +234,6 @@ def test_drift_flux_ratio():
                - math.exp(h * v / D)) < 1e-10
 
 
-def test_dispersive_profile():
-    fis = random_fissure(seed=8, eps=0.04)
-    D = 0.9
-    const_star = build_path(ProcessParams(kind="constant", mean=D))
-    cfg_mol = FissureODEConfig(fissure=fis, diffusion=D, v3=0.5)
-    cfg_dis = replace(cfg_mol, dispersion=const_star)
-    up, um = 1.0, -0.5
-    a = build_profile(cfg_mol, up, um, kind="advective")
-    b = build_profile(cfg_dis, up, um, kind="dispersive")
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
-    assert abs(a.flux_top - b.flux_top) < 1e-12
-    assert abs(a.flux_bottom - b.flux_bottom) < 1e-12
-    # a genuinely varying depth diffusivity changes the profile but keeps
-    # the endpoint traces and the drift flux ratio
-    vary = build_path(ProcessParams(kind="dispersion_D", mean=1.0,
-                                    amplitudes=(0.3,), frequencies=(1.7,),
-                                    lower_bound=0.5))
-    cfg_v = replace(cfg_mol, dispersion=vary)
-    c = build_profile(cfg_v, up, um, kind="dispersive")
-    assert abs(c.values[-1] - up) < 1e-11
-    assert abs(c.values[0] - um) < 1e-11
-    assert np.max(np.abs(c.values - a.values)) > 1e-3
-    h = fis.geometry.height
-    assert abs(c.flux_bottom / c.flux_top
-               - math.exp(h * 0.5 / D)) < 1e-10
-
-
 def test_transmission_zero_reaction_continuity():
     base = dict(v3=0.3, height=1.0, mean_qq=0.25, mean_inv_qq=4.2)
     at_zero = transmission_coeffs(1.0, 0.0, **base)
@@ -278,16 +252,9 @@ def test_transmission_coth_spot_value():
     ratio = coeffs.exchange_scale * coeffs.cosh_factor
     assert abs(ratio - COTH_ONE) < 1e-12
     assert abs(ratio - 1.3130) < 1e-4
-
-
-def test_transmission_dispersive_reduction():
-    mol = transmission_coeffs(0.8, 1.3, 0.4, 1.0, 0.25, 4.2)
-    dis = transmission_coeffs(0.8, 1.3, 0.4, 1.0, 0.25,
-                              mean_inv_qq=4.2, mean_inv_dqq=4.2 / 0.8,
-                              molecular_diffusion=0.8)
-    assert abs(mol.exchange_scale - dis.exchange_scale) < 1e-12
-    assert abs(mol.r_hat - dis.r_hat) < 1e-12
-    assert abs(mol.advective_factor - dis.advective_factor) < 1e-12
+    for diffusion, height in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            transmission_coeffs(diffusion, 1.0, 0.0, height, 1.0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)

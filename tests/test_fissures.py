@@ -13,7 +13,6 @@ from fisshom.fissures import (
     Fissure,
     GeometryParams,
     HalfPaths,
-    aperture,
     certified_offsets,
     distinct_lines,
     enumerate_fissures,
@@ -54,6 +53,11 @@ def test_geometry_validation():
         GeometryParams(epsilon=0.1, theta=0.0, height=1.0)
     with pytest.raises(ValueError, match="epsilon"):
         GeometryParams(epsilon=1.5, theta=0.5, height=1.0)
+    with pytest.raises(ValueError, match="height"):
+        GeometryParams(epsilon=0.1, theta=0.5, height=math.nan)
+    with pytest.raises(ValueError, match="extents"):
+        GeometryParams(epsilon=0.1, theta=0.5, height=1.0,
+                       x1_extent=(0.0, math.nan))
     GeometryParams(epsilon=0.1, theta=0.65, height=1.0)
 
 
@@ -94,16 +98,20 @@ def test_enumerated_fissures_always_contained(eps_inv, seed):
     assert fissures, "unit extent should always hold at least one fissure"
     for f in fissures[:: max(1, len(fissures) // 5)]:
         for x3 in (-1.0 + 1e-9, -0.61803, -0.1, -1e-9):
-            (x1l, x1h), (x2l, x2h) = f.cross_rect(x3)
-            assert 0.0 - 1e-10 <= x1l < x1h <= 1.0 + 1e-10
-            assert 0.0 - 1e-10 <= x2l < x2h <= 1.0 + 1e-10
+            s = geo.stretched_depth(x3)
+            for axis, base in ((0, f.i * geo.epsilon), (1, f.j * geo.epsilon)):
+                hp = f.line(axis)
+                lo = base + geo.epsilon * hp.minus(s)
+                hi = base + geo.epsilon * hp.plus(s)
+                assert 0.0 - 1e-10 <= lo < hi <= 1.0 + 1e-10
 
 
 def test_aperture_width_within_process_bounds():
     geo, q, r, ph = make_field(eps=0.125)
     f = enumerate_fissures(geo, q, r, ph)[0]
     s = np.linspace(0.0, 8.0, 500)
-    lo, hi = aperture(f, s, axis=0)
+    hp = f.line(0)
+    lo, hi = hp.minus(s), hp.plus(s)
     width = hi - lo
     assert np.all(width >= 0.3 - 1e-12)
     assert np.all(width <= 0.7 + 1e-12)

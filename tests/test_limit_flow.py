@@ -1,4 +1,4 @@
-"""Coupled two-bed Darcy solver and the tangential flow sheet."""
+"""Coupled two-bed Darcy solver."""
 
 import math
 
@@ -9,9 +9,7 @@ from fisshom._numerics import fit_loglog_slope
 from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
-    TangentialConfig,
     solve_limit_flow,
-    solve_tangential_darcy,
 )
 from fisshom.stochastic import constant_stats
 
@@ -258,136 +256,3 @@ def test_separable_route_matches_splu_oracle(kind):
     if kind == "closed":
         assert abs(float(sol.p_plus.mean())) < 1e-12
         assert np.ptp(sol.interface_flux) > 0.0
-
-
-# ----------------------------------------------------------------------
-# tangential sheet
-
-
-def tangential_config(n=24, **kw):
-    defaults = dict(
-        k_f=0.035,
-        kstar_plus=0.09 * np.eye(3),
-        kstar_minus=0.16 * np.eye(3),
-        mu_fissure=1.0,
-        slip_gamma=0.4,
-        height=0.8,
-        mean_q=0.5,
-        shape=(n, n),
-    )
-    defaults.update(kw)
-    return TangentialConfig(**defaults)
-
-
-def test_resistance_formula_and_validation():
-    cfg = tangential_config()
-    r = cfg.resistance()
-    want = 1.0 / (0.5 ** 2 * 0.035) + (0.4 / 0.8) * (1.0 / 0.3 + 1.0 / 0.4)
-    assert abs(r[0] - want) < 1e-12
-    assert abs(r[1] - want) < 1e-12
-    skew = np.array([[1.0, 0.4], [0.4, 1.0]])
-    with pytest.raises(ValueError, match="diagonal"):
-        tangential_config(k_f=skew).resistance()
-    with pytest.raises(ValueError, match="diagonal"):
-        tangential_config(kstar_plus=0.09 * skew).resistance()
-    for bad in ({"k_f": np.nan}, {"k_f": np.diag([np.nan, 0.035])},
-                {"slip_gamma": np.nan}):
-        with pytest.raises(ValueError, match="tangential resistance"):
-            tangential_config(**bad).resistance()
-
-
-def test_tangential_divergence_free_rim():
-    cfg = tangential_config(n=20)
-
-    def forcing(x1, x2):
-        return (np.sin(2 * math.pi * x2) + 0.3,
-                np.cos(2 * math.pi * x1) - 0.1)
-
-    sol = solve_tangential_darcy(cfg, forcing)
-    assert sol.div_sup < 1e-10
-    assert np.max(np.abs(sol.u[0, :])) == 0.0
-    assert np.max(np.abs(sol.u[-1, :])) == 0.0
-    assert np.max(np.abs(sol.v[:, 0])) == 0.0
-    assert np.max(np.abs(sol.v[:, -1])) == 0.0
-    assert abs(float(sol.pressure.mean())) < 1e-12
-    assert sol.energy() > 0.0
-
-
-def tangential_exact(cfg):
-    # stream function with a non-trigonometric envelope so the staggered
-    # scheme cannot reproduce it exactly on the grid
-    r1, r2 = cfg.resistance()
-
-    def u_e(x, y):
-        return np.exp(0.5 * x) * np.sin(math.pi * x) ** 2 \
-            * math.pi * np.sin(2 * math.pi * y)
-
-    def v_e(x, y):
-        return -np.exp(0.5 * x) * (0.5 * np.sin(math.pi * x) ** 2
-                                   + math.pi * np.sin(2 * math.pi * x)) \
-            * np.sin(math.pi * y) ** 2
-
-    def forcing(x, y):
-        dpi_1 = -0.5 * math.pi * np.sin(2 * math.pi * x) \
-            * np.cos(2 * math.pi * y) + 0.2 * x
-        dpi_2 = -0.5 * math.pi * np.cos(2 * math.pi * x) \
-            * np.sin(2 * math.pi * y)
-        return r1 * u_e(x, y) + dpi_1, r2 * v_e(x, y) + dpi_2
-
-    return u_e, v_e, None, forcing
-
-
-def test_tangential_mms_order():
-    errs = []
-    sizes = [8, 16, 32]
-    for n in sizes:
-        cfg = tangential_config(n=n)
-        u_e, v_e, _, forcing = tangential_exact(cfg)
-        sol = solve_tangential_darcy(cfg, forcing)
-        x1e = np.linspace(0.0, 1.0, n + 1)
-        x2e = np.linspace(0.0, 1.0, n + 1)
-        x1c = 0.5 * (x1e[1:] + x1e[:-1])
-        x2c = 0.5 * (x2e[1:] + x2e[:-1])
-        XU = np.meshgrid(x1e[1:-1], x2c, indexing="ij")
-        XV = np.meshgrid(x1c, x2e[1:-1], indexing="ij")
-        err = max(float(np.max(np.abs(sol.u[1:-1, :] - u_e(*XU)))),
-                  float(np.max(np.abs(sol.v[:, 1:-1] - v_e(*XV)))))
-        errs.append(err)
-    hs = [1.0 / n for n in sizes]
-    assert fit_loglog_slope(hs, errs) >= 1.8
-
-
-def test_tangential_energy_minimization():
-    cfg = tangential_config(n=12)
-    _, _, _, forcing = tangential_exact(cfg)
-    sol = solve_tangential_darcy(cfg, forcing)
-    r1, r2 = cfg.resistance()
-    n1, n2 = cfg.shape
-    d1, d2 = 1.0 / n1, 1.0 / n2
-    x1e = np.linspace(0.0, 1.0, n1 + 1)
-    x2e = np.linspace(0.0, 1.0, n2 + 1)
-    x1c = 0.5 * (x1e[1:] + x1e[:-1])
-    x2c = 0.5 * (x2e[1:] + x2e[:-1])
-    XU = np.meshgrid(x1e[1:-1], x2c, indexing="ij")
-    XV = np.meshgrid(x1c, x2e[1:-1], indexing="ij")
-    f_u = np.asarray(forcing(*XU)[0])
-    f_v = np.asarray(forcing(*XV)[1])
-
-    def functional(u, v):
-        return d1 * d2 * (0.5 * r1 * float(np.sum(u ** 2))
-                          + 0.5 * r2 * float(np.sum(v ** 2))
-                          - float(np.sum(f_u * u[1:-1, :]))
-                          - float(np.sum(f_v * v[:, 1:-1])))
-
-    base = functional(sol.u, sol.v)
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        psi = np.zeros((n1 + 1, n2 + 1))
-        psi[1:-1, 1:-1] = rng.standard_normal((n1 - 1, n2 - 1))
-        du = np.diff(psi, axis=1) / d2
-        dv = -np.diff(psi, axis=0) / d1
-        pert_u = sol.u + du
-        pert_v = sol.v + dv
-        div = np.diff(pert_u, axis=0) / d1 + np.diff(pert_v, axis=1) / d2
-        assert np.max(np.abs(div)) < 1e-9
-        assert functional(pert_u, pert_v) >= base - 1e-12 * abs(base)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisshom.stochastic import (
-    BracketEstimate,
+    WINDOW_LEN,
     ConstantPath,
     ErgodicStats,
     PhaseSequence,
@@ -25,8 +25,8 @@ from fisshom.stochastic import (
     ShotNoisePath,
     build_path,
     constant_stats,
-    ergodic_average,
     estimate_brackets,
+    window_means,
 )
 
 TWO_MODE = ProcessParams(
@@ -108,9 +108,10 @@ def test_derivatives_match_finite_differences():
 
 
 def test_constant_path_brackets_are_exact():
-    est = ergodic_average(ConstantPath(ProcessParams(kind="constant", mean=0.37)),
-                          T=200.0)
-    assert est.value == pytest.approx(0.37, rel=1e-14)
+    est = estimate_brackets(
+        ConstantPath(ProcessParams(kind="constant", mean=0.37)), T=200.0)
+    assert est.mean_q == pytest.approx(0.37, rel=1e-14)
+    assert est.mean_q2 == pytest.approx(0.37 ** 2, rel=1e-14)
     stats = constant_stats(0.4)
     assert stats.mean_q2 == pytest.approx(0.16, rel=1e-15)
     assert stats.mean_inv_q2 == pytest.approx(6.25, rel=1e-15)
@@ -123,8 +124,9 @@ def test_two_mode_brackets_match_closed_forms():
     assert stats.mean_q == pytest.approx(0.5, abs=3e-4)
     assert stats.mean_q2 == pytest.approx(0.25445, abs=3e-4)
     assert stats.mean_inv_q2 == pytest.approx(TWO_MODE_INV_Q2, abs=5e-3)
-    inv_q = ergodic_average(q, T=1.0e4, transform=lambda v: 1.0 / v)
-    assert inv_q.value == pytest.approx(TWO_MODE_INV_Q, abs=2e-3)
+    inv_q, = window_means(1.0e4, WINDOW_LEN, q.max_frequency,
+                          lambda nodes, weights: (weights / q(nodes),))
+    assert np.mean(inv_q) == pytest.approx(TWO_MODE_INV_Q, abs=2e-3)
 
 
 def test_single_mode_brackets_match_closed_forms():
@@ -140,8 +142,8 @@ def test_time_average_error_decays_like_one_over_T():
     exact = 0.25445
     errs_T = []
     for T in (1.0e2, 1.0e3, 1.0e4):
-        est = ergodic_average(q, T=T, transform=np.square)
-        errs_T.append(abs(est.value - exact) * T)
+        est = estimate_brackets(q, T=T)
+        errs_T.append(abs(est.mean_q2 - exact) * T)
     # err * T stays bounded; allow slack for oscillation of the remainder
     assert max(errs_T) < 50.0 * (min(errs_T) + 1e-3)
     assert abs(errs_T[-1]) / 1.0e4 < 1e-4
@@ -150,7 +152,12 @@ def test_time_average_error_decays_like_one_over_T():
 def test_stderr_scales_like_inverse_sqrt_T():
     q = build_path(TWO_MODE)
     Ts = np.array([1.0e2, 1.0e3, 1.0e4])
-    errs = [ergodic_average(q, T=T, transform=np.square).stderr for T in Ts]
+    errs = []
+    for T in Ts:
+        means, = window_means(
+            T, WINDOW_LEN, q.max_frequency,
+            lambda nodes, weights: (weights * q(nodes) ** 2,))
+        errs.append(np.std(means, ddof=1) / math.sqrt(len(means)))
     slope = np.polyfit(np.log(Ts), np.log(errs), 1)[0]
     assert -0.65 <= slope <= -0.35
 
@@ -184,6 +191,9 @@ def test_phase_sequence_deterministic_and_bounded():
     assert not np.allclose(al, be)
     other = PhaseSequence(bound=0.3, seed=43).window(-5, 5)[0]
     assert not np.allclose(al, other)
+    for bound in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="phase bound"):
+            PhaseSequence(bound=bound, seed=42)
 
 
 def test_phase_sequence_statistics_roughly_uniform():
@@ -213,16 +223,17 @@ def test_shot_noise_time_average_stabilizes():
     params = ProcessParams(kind="shot_noise", mean=0.45, amplitudes=(0.05,),
                            seed=5, lower_bound=0.3, upper_bound=0.7)
     path = build_path(params)
-    a = ergodic_average(path, T=500.0)
-    b = ergodic_average(path, T=4000.0)
-    assert abs(a.value - b.value) < 5e-3
+    a = estimate_brackets(path, T=500.0)
+    b = estimate_brackets(path, T=4000.0)
+    assert abs(a.mean_q - b.mean_q) < 5e-3
     assert b.stderr < a.stderr
 
 
 def test_bracket_estimate_fields():
     q = build_path(TWO_MODE)
-    est = ergodic_average(q, T=100.0)
-    assert isinstance(est, BracketEstimate)
+    est = estimate_brackets(q, T=100.0)
     assert est.window_T == 100.0
-    assert est.n_windows >= 4
     assert est.stderr > 0.0
+    means, = window_means(100.0, WINDOW_LEN, q.max_frequency,
+                          lambda nodes, weights: (weights * q(nodes),))
+    assert len(means) >= 4
