@@ -76,14 +76,22 @@ def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_quadrature(a: float, b: float, n_panels: int, order: int = 6):
-    """Composite Gauss nodes/weights on [a, b] split into equal panels."""
+def panel_quadrature(a, b, n_panels: int, order: int = 6):
+    """Composite Gauss nodes/weights on [a, b] split into equal panels.
+
+    a and b may be equal-shape arrays of endpoints: the rule of each
+    interval then runs along the last axis, with the same nodes and weights,
+    bit for bit, as a call on that interval alone.
+    """
     xs, ws = gauss_legendre(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    left = edges[:-1]
-    width = (b - a) / n_panels
-    nodes = (left[:, None] + width * xs[None, :]).ravel()
-    weights = np.broadcast_to(width * ws[None, :], (n_panels, order)).ravel().copy()
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    edges = np.linspace(a, b, n_panels + 1, axis=-1)
+    left = edges[..., :-1, None]
+    width = ((b - a) / n_panels)[..., None, None]
+    shape = a.shape + (n_panels * order,)
+    nodes = (left + width * xs).reshape(shape)
+    weights = np.tile(width * ws, (n_panels, 1)).reshape(shape)
     return nodes, weights
 
 

@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 import traceback
@@ -107,6 +108,14 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
+                 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +500,8 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
             failed.add(stage)
         dt = time.perf_counter() - t0
         steps.append({"name": stage, "status": status, "detail": detail,
-                      "seconds": round(dt, 3), "outputs": files})
+                      "seconds": round(dt, 3),
+                      "peak_rss_mb": _peak_rss_mb(), "outputs": files})
         all_files += files
         if status == "ok":
             print(f"[{stage}] ok ({dt:.2f} s)", file=stream)

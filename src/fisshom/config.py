@@ -75,6 +75,16 @@ def _numbers(path: str, value, length=None) -> tuple[float, ...]:
     return tuple(_number(f"{path}[{k}]", v) for k, v in enumerate(value))
 
 
+def _positives(path: str, value, length: int) -> tuple[float, ...]:
+    """Diagonal coefficients: every entry > 0, as the solvers require."""
+    values = _numbers(path, value, length)
+    for k, v in enumerate(values):
+        # written so that NaN fails: it compares False with any bound
+        if not v > 0:
+            raise ConfigError(f"{path}[{k}]: must be > 0, got {value[k]}")
+    return values
+
+
 def _shape(path: str, value, vertical_lo: int) -> list[int]:
     """Bed grid (n1, n2, nz_plus, nz_minus): at least 2 horizontal and
     `vertical_lo` vertical cells."""
@@ -300,12 +310,12 @@ def parse_config(path: str | None = None, text: str | None = None,
                          "gravity_plus", "gravity_minus", "bc_kind", "p_top",
                          "p_bottom"))
     flow = {
-        "k_plus": list(_numbers("flow.k_plus",
-                                flow_sec.get("k_plus", [1.3, 1.3, 0.9]),
-                                length=3)),
-        "k_minus": list(_numbers("flow.k_minus",
-                                 flow_sec.get("k_minus", [0.8, 0.8, 1.1]),
-                                 length=3)),
+        "k_plus": list(_positives("flow.k_plus",
+                                  flow_sec.get("k_plus", [1.3, 1.3, 0.9]),
+                                  length=3)),
+        "k_minus": list(_positives("flow.k_minus",
+                                   flow_sec.get("k_minus", [0.8, 0.8, 1.1]),
+                                   length=3)),
         "mu_plus_viscosity": _number(
             "flow.mu_plus_viscosity", flow_sec.get("mu_plus_viscosity", 1.0),
             lo=0.0, open_lo=True),
@@ -342,15 +352,15 @@ def parse_config(path: str | None = None, text: str | None = None,
                        "surface_diffusion"))
     surface_diffusion = tr_sec.get("surface_diffusion")
     if surface_diffusion is not None:
-        surface_diffusion = list(_numbers("transport.surface_diffusion",
-                                          surface_diffusion, length=2))
+        surface_diffusion = list(_positives("transport.surface_diffusion",
+                                            surface_diffusion, length=2))
     transport = {
-        "diff_plus": list(_numbers("transport.diff_plus",
-                                   tr_sec.get("diff_plus", [1.0, 1.0, 1.0]),
-                                   length=3)),
-        "diff_minus": list(_numbers("transport.diff_minus",
-                                    tr_sec.get("diff_minus", [0.8, 0.8, 1.2]),
-                                    length=3)),
+        "diff_plus": list(_positives("transport.diff_plus",
+                                     tr_sec.get("diff_plus", [1.0, 1.0, 1.0]),
+                                     length=3)),
+        "diff_minus": list(_positives(
+            "transport.diff_minus",
+            tr_sec.get("diff_minus", [0.8, 0.8, 1.2]), length=3)),
         "tube_diffusion": _number("transport.tube_diffusion",
                                   tr_sec.get("tube_diffusion", 0.9),
                                   lo=0.0, open_lo=True),

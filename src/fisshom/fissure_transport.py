@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from ._numerics import fsum
 from .fissures import Fissure
@@ -122,24 +121,74 @@ class FissureODESolution:
         return float(self.values[0])
 
 
-def _cumulative_from_zero(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_0^x y ds on an ascending grid whose last node is 0."""
-    F = cumulative_simpson(y, x=x, initial=0.0)
-    return F - F[-1]
+def _simpson_coeffs(dx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Weights of the integral over each interval [x_k, x_k+1] from the
+    parabola through nodes k, k+1 and k+2, in the order SciPy forms them."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    return (x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31,
+            -x21x21_x31x32)
+
+
+class _CumulativeSimpson:
+    """Cumulative composite Simpson integral on one fixed ascending grid.
+
+    Repeats the unequal-interval route of SciPy 1.17's
+    `cumulative_simpson(y, x=x, initial=0.0)` operation for operation, so
+    the results are equal bit for bit: an interval of even index is
+    integrated from the parabola through it and the next node, one of odd
+    index from the parabola through it and the previous node, and the
+    pieces are summed in order.  The weights depend on the grid alone and
+    are formed once.  The grid must have an even number of intervals, as
+    `_grid` makes it.
+    """
+
+    def __init__(self, x: np.ndarray):
+        dx = np.diff(x)
+        if len(dx) < 2 or len(dx) % 2:
+            raise ValueError("Simpson grid needs an even number of intervals")
+        self.n = len(dx)
+        self.even = [c[0::2] for c in _simpson_coeffs(dx)]
+        self.odd = [c[::-1][0::2] for c in _simpson_coeffs(dx[::-1])]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """int_{x_0}^{x_k} y ds at every node."""
+        y_a, y_b, y_c = y[:-2:2], y[1::2], y[2::2]
+        a, a1, a2, a3 = self.even
+        b, b1, b2, b3 = self.odd
+        pieces = np.empty(self.n)
+        pieces[0::2] = a * (a1 * y_a + a2 * y_b + a3 * y_c)
+        pieces[1::2] = b * (b1 * y_c + b2 * y_b + b3 * y_a)
+        F = np.empty(self.n + 1)
+        F[0] = 0.0
+        np.cumsum(pieces, out=F[1:])
+        # SciPy adds `initial` to every entry, which turns -0.0 into 0.0
+        F[1:] += 0.0
+        return F
+
+    def from_zero(self, y: np.ndarray) -> np.ndarray:
+        """int_0^x y ds, on a grid whose last node is 0."""
+        F = self(y)
+        return F - F[-1]
 
 
 def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
                     homogeneous: bool) -> tuple[np.ndarray, np.ndarray, int]:
     D, R, v = cfg.diffusion, cfg.reaction, cfg.v3
+    integral = _CumulativeSimpson(x).from_zero
     F = qq * np.exp(x * v / D)
-    G = _cumulative_from_zero(np.exp(-x * v / D) / qq, x)
+    G = integral(np.exp(-x * v / D) / qq)
     base = np.ones_like(x) if homogeneous else G
     u = base.copy()
     iterations = 0
     if R > 0.0:
         for iterations in range(1, 201):
-            C = _cumulative_from_zero(F * u, x)
-            S = _cumulative_from_zero(F * u * G, x)
+            C = integral(F * u)
+            S = integral(F * u * G)
             u_new = base + (R / D) * (G * C - S)
             delta = float(np.max(np.abs(u_new - u)))
             u = u_new
@@ -147,7 +196,7 @@ def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
                 break
         else:
             raise RuntimeError("successive approximation did not converge")
-    C = _cumulative_from_zero(F * u, x)
+    C = integral(F * u)
     flux_exp = R * C + (0.0 if homogeneous else D)
     return u, flux_exp, iterations
 
@@ -334,7 +383,7 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
     weight = np.exp(-x * v / D) / qq
     # N(x) = int_x^0 weight = -int_0^x weight
-    N = -_cumulative_from_zero(weight, x)
+    N = -_CumulativeSimpson(x).from_zero(weight)
     Nb = float(N[0])
     values = u_plus + (u_minus - u_plus) * N / Nb
     # u' = -(u_minus - u_plus) * weight / Nb; diffusive flux D qq u'

@@ -270,31 +270,33 @@ def fissure_volume_integral(fissures: Sequence[Fissure], phi,
 
     minus = np.array([hp.minus(s_nodes) for hp in lines])
     plus = np.array([hp.plus(s_nodes) for hp in lines])
+    # per line: opening, centre offset, Gauss offsets across the opening and
+    # the area factor, each rounded as if it were formed per tube
+    q = plus - minus
+    mid = eps * 0.5 * (plus + minus)
+    spread = (eps * q)[..., None] * gauss_off
+    area_q = eps * eps * q
     # tubes in blocks: each tube's row is computed alone, so the blocks only
     # bound the (F, H, 2, 2) samples held at once
     per_fissure = []
     for start in range(0, len(pairs), _VOLUME_BLOCK):
         rows = slice(start, start + _VOLUME_BLOCK)
         i1, i2 = pairs[rows].T
-        a1m, a1p = minus[i1], plus[i1]
-        a2m, a2p = minus[i2], plus[i2]
         base1, base2 = centers[rows].T
-        q1 = a1p - a1m
-        q2 = a2p - a2m
-        mid1 = base1[:, None] + eps * 0.5 * (a1p + a1m)
-        mid2 = base2[:, None] + eps * 0.5 * (a2p + a2m)
         # sample points: (F, H, 2, 2)
-        x1 = mid1[..., None, None] + (eps * q1)[..., None, None] \
-            * gauss_off[None, None, :, None]
-        x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
-            * gauss_off[None, None, None, :]
+        x1 = (base1[:, None] + mid[i1])[..., None, None] \
+            + spread[i1][..., :, None]
+        x2 = (base2[:, None] + mid[i2])[..., None, None] \
+            + spread[i2][..., None, :]
         shape = (len(i1), len(x3_nodes), 2, 2)
         x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
         vals = np.broadcast_to(np.asarray(phi(x1, x2, x3), dtype=float),
                                shape)
-        # x2 first: a value constant in x2 then averages to itself exactly
-        cell_mean = vals.mean(axis=3).mean(axis=2)
-        area = eps * eps * q1 * q2
+        # x2 first: a value constant in x2 then averages to itself exactly;
+        # each pair mean is (a + b) / 2, as numpy's mean of two rounds it
+        cell_mean = ((vals[..., 0, 0] + vals[..., 0, 1]) / 2
+                     + (vals[..., 1, 0] + vals[..., 1, 1]) / 2) / 2
+        area = area_q[i1] * q[i2]
         per_fissure.append((cell_mean * area * x3_w[None, :]).sum(axis=1))
     return fsum(np.concatenate(per_fissure))
 

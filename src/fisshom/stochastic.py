@@ -374,6 +374,8 @@ class ErgodicStats:
 
 # Window length of the path averages, in path time.
 WINDOW_LEN = 25.0
+# quadrature nodes sampled per call of `window_means`' callback
+_WINDOW_BLOCK_NODES = 1 << 16
 
 
 def window_means(T: float, window_len: float, max_freq: float,
@@ -383,20 +385,33 @@ def window_means(T: float, window_len: float, max_freq: float,
 
     [-T, T] is cut into windows of about window_len, each integrated by
     composite 6-point Gauss panels, at least two per period of max_freq.
-    weighted(nodes, weights) samples the paths once on a window's nodes and
-    returns the weighted samples of each integrand; entry k of the result
-    holds the window means of integrand k.
+    weighted(nodes, weights) gets the flat nodes and weights of a block of
+    consecutive windows (all of them unless that exceeds
+    _WINDOW_BLOCK_NODES nodes), samples the paths once on them and returns
+    the weighted samples of each integrand.  It must act elementwise: a
+    sample may depend only on its own node and weight.  Entry k of the
+    result holds the window means of integrand k.
     """
     W = max(4, int(math.ceil(2.0 * T / window_len)))
     edges = np.linspace(-T, T, W + 1)
     panels = max(4, int(math.ceil((edges[1] - edges[0]) * max_freq
                                   / math.pi)))
-    rows = []
-    for k in range(W):
-        nodes, weights = panel_quadrature(edges[k], edges[k + 1], panels, 6)
-        L = edges[k + 1] - edges[k]
-        rows.append([fsum(v) / L for v in weighted(nodes, weights)])
-    return [np.array(col) for col in zip(*rows)]
+    lengths = (edges[1:] - edges[:-1]).tolist()
+    block = max(1, _WINDOW_BLOCK_NODES // (6 * panels))
+    cols: list[list[float]] = []
+    for lo in range(0, W, block):
+        hi = min(W, lo + block)
+        nodes, weights = panel_quadrature(edges[lo:hi], edges[lo + 1:hi + 1],
+                                          panels, 6)
+        samples = weighted(nodes.ravel(), weights.ravel())
+        if not cols:
+            cols = [[] for _ in samples]
+        # fsum is exactly rounded, so a window's mean does not depend on
+        # the order of its terms
+        for col, v in zip(cols, samples):
+            rows = np.reshape(v, nodes.shape).tolist()
+            col.extend(math.fsum(r) / L for r, L in zip(rows, lengths[lo:hi]))
+    return [np.array(col) for col in cols]
 
 
 def estimate_brackets(q_path: StationaryPath, T: float,

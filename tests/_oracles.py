@@ -8,7 +8,9 @@ resolutions agreeing to ~1e-12.
 The per-tube loops at the end are the retained references of the
 line-factored fast paths in `fisshom.fissures` and `fisshom.verify`: they
 draw the phases and evaluate the four half-opening paths of every tube
-separately, and the fast paths must reproduce them bit for bit.
+separately, and the fast paths must reproduce them bit for bit.  The
+per-window loop is the same kind of reference for
+`fisshom.stochastic.window_means`, which samples all windows at once.
 
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) routes in `fisshom.limit_flow` and
@@ -81,6 +83,25 @@ def laminate_tensor_1d(k_func, axis: int, dim: int, n_quad: int = 4001):
 
 
 # ---------------------------------------------------------------------------
+# per-window reference of the windowed path means
+
+
+def window_means_per_window(T, window_len, max_freq, weighted):
+    """`window_means` with the quadrature built and the callback called
+    once per window."""
+    W = max(4, int(math.ceil(2.0 * T / window_len)))
+    edges = np.linspace(-T, T, W + 1)
+    panels = max(4, int(math.ceil((edges[1] - edges[0]) * max_freq
+                                  / math.pi)))
+    rows = []
+    for k in range(W):
+        nodes, weights = panel_quadrature(edges[k], edges[k + 1], panels, 6)
+        L = edges[k + 1] - edges[k]
+        rows.append([fsum(v) / L for v in weighted(nodes, weights)])
+    return [np.array(col) for col in zip(*rows)]
+
+
+# ---------------------------------------------------------------------------
 # per-tube references of the lattice enumeration and tube-union quadratures
 
 
@@ -122,7 +143,8 @@ def _depth_quadrature(fissures, panels_per_period):
 
 def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
     """`fissure_volume_integral` with the four paths of each tube evaluated
-    tube by tube."""
+    tube by tube and the 2x2 cross-section samples averaged by numpy's
+    mean, over x2 and then over x1."""
     if not fissures:
         return 0.0
     geo = fissures[0].geometry
@@ -151,10 +173,11 @@ def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
         * gauss_off[None, None, :, None]
     x2 = mid2[..., None, None] + (eps * q2)[..., None, None] \
         * gauss_off[None, None, None, :]
-    x3 = np.broadcast_to(x3_nodes[None, :, None, None], x1.shape)
+    shape = (F, H, 2, 2)
+    x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
     vals = np.asarray(phi(x1, x2, x3), dtype=float)
-    vals = np.broadcast_to(vals, x1.shape)
-    cell_mean = vals.mean(axis=(2, 3))
+    vals = np.broadcast_to(vals, shape)
+    cell_mean = vals.mean(axis=3).mean(axis=2)
     area = eps * eps * q1 * q2
     per_fissure = (cell_mean * area * x3_w[None, :]).sum(axis=1)
     return fsum(per_fissure)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from fisshom._numerics import (derive_seed, fit_loglog_slope, sym_inv_sqrt,
+from fisshom._numerics import (derive_seed, fit_loglog_slope,
                                uniform_from_hash)
 from fisshom.cell import (CellMesh, compute_kstar, solve_darcy_cell,
                           solve_poisson_cell, solve_scalar_cell_3d,

@@ -81,6 +81,17 @@ def test_value_errors_carry_key_path():
         parse_config(text="flow:\n  shape: [8, 8, 2, 8]\n")
     with pytest.raises(ConfigError, match=r"transport\.shape.*4 entries"):
         parse_config(text="transport:\n  shape: 8\n")
+    with pytest.raises(ConfigError, match=r"flow\.k_plus\[2\].*> 0"):
+        parse_config(text="flow:\n  k_plus: [1.3, 1.3, -0.9]\n")
+    with pytest.raises(ConfigError, match=r"flow\.k_minus\[0\].*> 0"):
+        parse_config(text="flow:\n  k_minus: [0, 0.8, 1.1]\n")
+    with pytest.raises(ConfigError, match=r"transport\.diff_plus\[1\].*> 0"):
+        parse_config(text="transport:\n  diff_plus: [1, 0, 1]\n")
+    with pytest.raises(ConfigError, match=r"transport\.diff_minus\[2\].*> 0"):
+        parse_config(text="transport:\n  diff_minus: [0.8, 0.8, -1.2]\n")
+    with pytest.raises(ConfigError,
+                       match=r"transport\.surface_diffusion\[0\].*> 0"):
+        parse_config(text="transport:\n  surface_diffusion: [-0.2, 0.3]\n")
 
 
 def test_yaml_syntax_error_carries_line():
@@ -125,6 +136,9 @@ def test_all_stages_write_expected_files(tmp_path):
     assert man["config_sha256"] == cfg.config_hash()
     assert man["package_version"] == __version__
     assert [s["status"] for s in man["steps"]] == ["ok"] * 6
+    # the process peak so far, so it never falls from one step to the next
+    peaks = [s["peak_rss_mb"] for s in man["steps"]]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
     # every data file indexed with its checksum
     assert set(man["files"]) == expected - {"manifest.json"}
     for name, digest in man["files"].items():

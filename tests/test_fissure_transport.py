@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
+from fisshom import fissure_transport
 from fisshom.fissures import Fissure, GeometryParams, HalfPaths
 from fisshom.fissure_transport import (
     FissureODEConfig,
@@ -294,3 +296,22 @@ def test_vertical_velocity_formula():
     assert arr.shape == (2,)
     assert arr[0] == (2.5 - 1.0) * 0.035144 / (1.2 * 0.9 * 0.25445 * 4.22788)
     assert arr[1] == 0.0
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.02, 1e-3])
+def test_simpson_weights_reproduce_scipy(eps):
+    # the tube solves integrate on one fixed grid with weights formed once;
+    # every result must equal scipy's cumulative_simpson exactly
+    cfg = FissureODEConfig(fissure=random_fissure(seed=3, eps=eps),
+                           diffusion=0.9, reaction=1.3, v3=0.4)
+    x = fissure_transport._grid(cfg)
+    qq = tube_weight(cfg, x)
+    integrate = fissure_transport._CumulativeSimpson(x)
+    rng = np.random.default_rng(11)
+    for y in (qq, np.exp(-x * cfg.v3 / cfg.diffusion) / qq, np.zeros_like(x),
+              rng.standard_normal(x.size)):
+        ref = cumulative_simpson(y, x=x, initial=0.0)
+        assert np.array_equal(integrate(y), ref)
+        assert np.array_equal(integrate.from_zero(y), ref - ref[-1])
+    with pytest.raises(ValueError, match="even number"):
+        fissure_transport._CumulativeSimpson(x[1:])

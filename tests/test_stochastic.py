@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import window_means_per_window
 from fisshom.stochastic import (
     WINDOW_LEN,
     ConstantPath,
     ErgodicStats,
     PhaseSequence,
     ProcessParams,
-    ShotNoisePath,
     build_path,
     constant_stats,
     estimate_brackets,
@@ -37,6 +37,10 @@ TWO_MODE = ProcessParams(
 SINGLE_MODE = ProcessParams(
     kind="aperture_q", mean=0.5, amplitudes=(0.1,), frequencies=(1.3,),
     seed=3, lower_bound=0.35, upper_bound=0.65, deriv_bound=0.3)
+
+SHOT_NOISE = ProcessParams(
+    kind="shot_noise", mean=0.45, amplitudes=(0.05,), seed=5,
+    lower_bound=0.3, upper_bound=0.7)
 
 TWO_MODE_INV_Q2 = 4.2278806107223845
 TWO_MODE_INV_Q = 2.0370003042744957
@@ -237,3 +241,24 @@ def test_bracket_estimate_fields():
     means, = window_means(100.0, WINDOW_LEN, q.max_frequency,
                           lambda nodes, weights: (weights * q(nodes),))
     assert len(means) >= 4
+
+
+@pytest.mark.parametrize("params", [TWO_MODE, SHOT_NOISE,
+                                    ProcessParams(kind="constant", mean=0.37)],
+                         ids=["fourier", "shot_noise", "constant"])
+@pytest.mark.parametrize("T", [100.0, 2.0e3, 2.0e4])
+def test_window_means_match_the_per_window_loop(params, T):
+    # all windows are sampled in one callback call (in several blocks at
+    # T = 2e4), and the means must not change by a bit
+    q = build_path(params)
+    r = q.shifted(17.3)
+
+    def weighted(nodes, weights):
+        qq = q(nodes) * r(nodes)
+        return weights * qq, weights / qq, weights * q(nodes)
+
+    fast = window_means(T, WINDOW_LEN, q.max_frequency, weighted)
+    slow = window_means_per_window(T, WINDOW_LEN, q.max_frequency, weighted)
+    assert len(fast) == len(slow) == 3
+    for got, ref in zip(fast, slow):
+        assert np.array_equal(got, ref)

@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
-`__init__.py` is left out: its imports are the package's exports.
+The package's `__init__.py` is left out: its imports are its exports.
 """
 
 import ast
@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fisshom"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fisshom"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +38,8 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_import(module):
+    assert unused_imports((TESTS / module).read_text()) == []

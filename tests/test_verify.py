@@ -203,6 +203,22 @@ def test_line_factored_quadratures_match_per_tube_loops(build):
         assert np.array_equal(got, ref)
 
 
+def test_volume_integral_of_coupled_integrands_matches_per_tube_loop():
+    # the explicit 2x2 Gauss average rounds as numpy's mean over x2 and then
+    # over x1, also for integrands that couple x1 and x2; tube by tube, so
+    # that a last-bit change is not lost in the sum over the field
+    fissures = _enumerated(1 / 8)
+
+    def phi(x1, x2, x3):
+        return np.sin(3.0 * x1) * np.cos(5.0 * x2) + x1 * x2 * x3
+
+    assert fissure_volume_integral(fissures, phi) \
+        == volume_integral_per_tube(fissures, phi)
+    for tube in fissures:
+        assert fissure_volume_integral([tube], phi) \
+            == volume_integral_per_tube([tube], phi)
+
+
 @pytest.mark.parametrize("fast_axis", [0, 1])
 def test_depth_panels_resolve_the_faster_axis(fast_axis):
     # the depth grid follows the fastest aperture of either axis, so a
