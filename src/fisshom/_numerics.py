@@ -238,18 +238,20 @@ def column_operator(A: sp.spmatrix, index: np.ndarray, basis: str):
     return C, h1, h2
 
 
+def mode_eigenvalues(m: int, basis: str) -> np.ndarray:
+    """mu_k = 2 - 2 cos(pi k / n) of the 1-D second difference on m
+    unknowns that `basis` diagonalizes, in transform order."""
+    _, _, kind, first, _ = _BASES[basis]
+    k = np.arange(m) + first
+    return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
+
+
 def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                  m1: int, m2: int, basis: str) -> sp.csr_matrix:
     """The mode-major block matrix kron(I, C) + diags(mu1 h1 + mu2 h2) of an
     (m1, m2) horizontal grid in `basis`: one column block per mode."""
-    _, _, kind, first, _ = _BASES[basis]
-
-    def eigenvalues(m):
-        k = np.arange(m) + first
-        return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
-
-    shift = (eigenvalues(m1)[:, None, None] * h1
-             + eigenvalues(m2)[None, :, None] * h2)
+    shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
+             + mode_eigenvalues(m2, basis)[None, :, None] * h2)
     return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
             + sp.diags(shift.ravel())).tocsr()
 

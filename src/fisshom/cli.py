@@ -210,6 +210,8 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         "resolution": cfg.cell_resolution,
         "k0": torsion.k0,
         "k0_identity_gap": torsion.identity_gap,
+        "k0_residual": torsion.residual,
+        "k0_route": torsion.route,
         "drag": _spd_report("tube drag", drag.K_f),
         "permeability_plus": _spd_report("upper permeability",
                                          darcy_p.tensor),

@@ -182,9 +182,11 @@ def _pair_averages(fissures: Sequence[Fissure],
     """Per-fissure height averages of the aperture product, its reciprocal,
     and the product at the interface plane.
 
-    Each distinct lattice line is sampled once; the height averages stay one
-    dot product per tube, since a matrix-vector product over all tubes
-    rounds differently.
+    Each distinct lattice line is sampled once.  The height averages run one
+    dot product per tube: numpy's stacked matmul of (1, H) rows by an (H, 1)
+    weight column calls the same dot kernel per tube as `row @ w`, in one C
+    loop.  A plain matrix-vector product over all tubes (gemv) rounds
+    differently.
     """
     geo = fissures[0].geometry
     h = geo.height
@@ -195,8 +197,8 @@ def _pair_averages(fissures: Sequence[Fissure],
     width0 = np.array([float(hp.width(0.0)) for hp in lines])
     i1, i2 = pairs.T
     qq = width[i1] * width[i2]
-    qbar = np.array([row @ w for row in qq]) / h
-    rbar = np.array([row @ w for row in 1.0 / qq]) / h
+    qbar = np.matmul(qq[:, None, :], w[:, None])[:, 0, 0] / h
+    rbar = np.matmul((1.0 / qq)[:, None, :], w[:, None])[:, 0, 0] / h
     q0 = width0[i1] * width0[i2]
     return qbar, rbar, q0
 

@@ -15,11 +15,14 @@ per-window loop is the same kind of reference for
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) routes in `fisshom.limit_flow` and
 `fisshom.limit_transport`: the same assembled 3-D systems, factored whole.
+The SuperLU torsion solve is likewise the reference of the sine-transform
+route in `fisshom.cell.solve_poisson_cell`.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from fisshom import limit_flow, limit_transport
 from fisshom._numerics import (fsum, gauss_legendre, panel_quadrature,
@@ -233,3 +236,22 @@ def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
         config=cfg, u_plus=u[:meshp.n].reshape(meshp.shape),
         u_minus=u[meshp.n:].reshape(meshm.shape), residual=residual,
         route="splu", iterations=0)
+
+
+def poisson_cell_splu(n):
+    """The torsion cell before the sine-transform route: the five-point
+    vertex Laplacian of (-1/2, 1/2)^2 with unit load, factored by SuperLU.
+    Returns the (n+1, n+1) profile and its integral k0."""
+    h = 1.0 / n
+    m = n - 1
+    N = m * m
+    main = 4.0 * np.ones(N)
+    ex = np.ones(N - 1)
+    ex[np.arange(1, N) % m == 0] = 0.0
+    ey = np.ones(N - m)
+    A = sp.diags([main, -ex, -ex, -ey, -ey], [0, 1, -1, m, -m],
+                 format="csc") / h**2
+    u, _ = solve_sparse(A, np.ones(N))
+    profile = np.zeros((n + 1, n + 1))
+    profile[1:-1, 1:-1] = u.reshape(m, m)
+    return profile, h * h * fsum(u)

@@ -26,6 +26,7 @@ from _oracles import (
     k0_double_series,
     k0_single_series,
     laminate_tensor_1d,
+    poisson_cell_splu,
 )
 
 
@@ -41,6 +42,7 @@ def test_torsion_cell_value_and_identity():
     assert cell.k0_integral == pytest.approx(K0_SQUARE, abs=1e-4)
     assert cell.k0_integral == pytest.approx(K0_SQUARE, abs=5e-6)
     assert cell.identity_gap < 1e-10
+    assert cell.route == "dst1" and cell.residual <= 1e-9
     assert cell.center_value == pytest.approx(ETA0_CENTER, abs=1e-5)
     # profile positive inside, zero on the wall
     assert cell.profile[1:-1, 1:-1].min() > 0.0
@@ -58,11 +60,31 @@ def test_torsion_cell_matches_series_pointwise():
 
 def test_torsion_cell_second_order_convergence():
     errs = []
-    ns = [32, 64, 128]
+    ns = [32, 64, 128, 256, 512]
     for n in ns:
         errs.append(abs(solve_poisson_cell(n).k0_integral - K0_SQUARE))
     order = np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert order <= -1.8
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 255, 256])
+def test_torsion_cell_matches_splu_reference(n):
+    cell = solve_poisson_cell(n)
+    profile, k0 = poisson_cell_splu(n)
+    scale = 1.0 + np.max(np.abs(profile))
+    assert np.max(np.abs(cell.profile - profile)) <= 1e-12 * scale
+    assert cell.k0_integral == pytest.approx(k0, rel=1e-12, abs=0.0)
+
+
+def test_torsion_cell_makes_no_superlu_call(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("torsion cell called splu")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    cell = solve_poisson_cell(256)
+    assert cell.k0_integral == pytest.approx(K0_SQUARE, abs=5e-6)
 
 
 def test_drag_cell_is_isotropic_and_positive():

@@ -266,6 +266,7 @@ def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):
     report = json.loads((out / "cell.json").read_text())
     assert report["resolution"] == 64
     assert report["k0"] == pytest.approx(0.035144, abs=5e-4)
+    assert report["k0_route"] == "dst1" and report["k0_residual"] <= 1e-9
     assert "[cell] ok" in capsys.readouterr().out
 
 

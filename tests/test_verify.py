@@ -189,9 +189,10 @@ def _single():
 
 @pytest.mark.parametrize("build", [lambda: _enumerated(1 / 8),
                                    lambda: _enumerated(1 / 16),
+                                   lambda: _enumerated(1 / 64),
                                    _hand_built, _single],
-                         ids=["field_eps8", "field_eps16", "hand_built",
-                              "single_tube"])
+                         ids=["field_eps8", "field_eps16", "field_eps64",
+                              "hand_built", "single_tube"])
 def test_line_factored_quadratures_match_per_tube_loops(build):
     fissures = build()
     for phi in TEST_FUNCTIONS:
