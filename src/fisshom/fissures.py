@@ -1,4 +1,4 @@
-"""Random fissure geometry: lattice enumeration, apertures, measure quadrature.
+"""Random fissure geometry: lattice enumeration, apertures, line sampling.
 
 A fissure field places one thin vertical tube near each node of an
 eps-periodic lattice on the mid-plane rectangle Sigma.  Tube (i, j) occupies
@@ -12,8 +12,9 @@ phase shifts per lattice line.  theta in (0, 2/3) compresses the depth
 variation so the wall slope vanishes with eps.
 
 An n1 x n2 field therefore has only n1 + n2 distinct lines.  It is stored
-by line (FissureField): the phases of each line are drawn once, and the
-tube-union quadratures sample each line once on the depth grid.
+by line (FissureField): the phases of each line are drawn once, and
+`FissureField.sample_lines` samples each line once on the depth grid, so
+the sweeps' sums over the tube union are products of sums over the lines.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import fsum, gauss_legendre, panel_quadrature
+from ._numerics import gauss_legendre, panel_quadrature
 from .stochastic import PhaseSequence, StationaryPath
-
-# tubes per block of `fissure_volume_integral`
-_VOLUME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -138,18 +136,28 @@ class FissureField(Sequence):
             for j in self.cols:
                 yield self._tube(i, j)
 
-    def line_table(self) -> tuple[list[HalfPaths], np.ndarray, np.ndarray]:
-        """The table distinct_lines returns, read off the index ranges."""
-        position = {n: k for k, n in enumerate(self.lines)}
-        p1 = np.array([position[i] for i in self.rows], dtype=np.intp)
-        p2 = np.array([position[j] for j in self.cols], dtype=np.intp)
-        n1, n2 = len(p1), len(p2)
-        pairs = np.column_stack((np.repeat(p1, n2), np.tile(p2, n1)))
-        eps = self.geometry.epsilon
-        centers = np.column_stack(
-            (np.repeat(np.array(self.rows, dtype=np.int64) * eps, n2),
-             np.tile(np.array(self.cols, dtype=np.int64) * eps, n1)))
-        return list(self.lines.values()), pairs, centers
+    def sample_lines(self, panels_per_period: float):
+        """Every line sampled once on the rule of `depth_quadrature`.
+
+        Returns the depth weights (H,) and, for the rows and then for the
+        columns, the (n, H) openings q(s) and centres n*eps + eps*r(s) of
+        the lines: at depth node k, tube (i, j) has the rectangular
+        cross-section of sides eps*q_i[k] by eps*q_j[k] centred at
+        (centre_i[k], centre_j[k]).
+        """
+        geo = self.geometry
+        eps = geo.epsilon
+        x3, w = depth_quadrature(geo, list(self.lines.values()),
+                                 panels_per_period)
+        s = geo.stretched_depth(x3)
+
+        def axis(indices: range):
+            lines = [self.lines[n] for n in indices]
+            q = np.array([hp.width(s) for hp in lines]).reshape(-1, s.size)
+            r = np.array([hp.r(s) for hp in lines]).reshape(q.shape)
+            return q, eps * np.array(indices)[:, None] + eps * r
+
+        return w, axis(self.rows), axis(self.cols)
 
 
 def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
@@ -187,42 +195,13 @@ def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
     return FissureField(geometry, rows, cols, lines)
 
 
-def distinct_lines(fissures: Sequence[Fissure]
-                   ) -> tuple[list[HalfPaths], np.ndarray, np.ndarray]:
-    """Distinct half-opening lines of a tube collection.
-
-    Returns the lines, an (F, 2) array of each tube's x1 and x2 line index
-    into them, and the (F, 2) tube centres.  A FissureField hands over its
-    own table.  In any other tube list a line is keyed by its value, (q
-    base path, q shift, r base path, r shift), so tubes built with separate
-    but equal HalfPaths share one entry: an n x n field needs at most 2n
-    line evaluations, not 2n^2.
-    """
-    if isinstance(fissures, FissureField):
-        return fissures.line_table()
-    lines: list[HalfPaths] = []
-    index: dict = {}
-    pairs = np.empty((len(fissures), 2), dtype=np.intp)
-    centers = np.empty((len(fissures), 2))
-    for k, f in enumerate(fissures):
-        for axis in (0, 1):
-            hp = f.line(axis)
-            key = (hp.q.base, hp.q.offset, hp.r.base, hp.r.offset)
-            n = index.setdefault(key, len(lines))
-            if n == len(lines):
-                lines.append(hp)
-            pairs[k, axis] = n
-        centers[k] = f.center
-    return lines, pairs, centers
-
-
 def depth_quadrature(geometry: GeometryParams, lines: list[HalfPaths],
                      panels_per_period: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Composite 6-point Gauss rule on (-height, 0) with panels_per_period
     panels per stretched period of the fastest aperture path among lines,
     whichever axis they belong to."""
-    max_freq = max(hp.q.max_frequency for hp in lines)
+    max_freq = max((hp.q.max_frequency for hp in lines), default=0.0)
     rate = max_freq * geometry.epsilon ** (-geometry.theta)
     n_panels = max(4, int(math.ceil(panels_per_period * geometry.height
                                     * rate / (2.0 * math.pi))))
@@ -241,64 +220,6 @@ def fissure_census(fissures: Sequence[Fissure]) -> np.ndarray:
                    f.line_x1.beta, f.line_x2.beta,
                    float(f.line_x1.width(0.0)), float(f.line_x2.width(0.0)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# fissure-measure quadrature
-
-
-def fissure_volume_integral(fissures: Sequence[Fissure], phi,
-                            panels_per_period: float = 4.0) -> float:
-    """Integral of phi over the union of fissure tubes.
-
-    Exact-in-x' slicing: at each height the cross-section is a rectangle, so
-    the inner integral is its area times a 2x2 Gauss average; the height
-    integral uses composite Gauss panels dense enough for the stretched
-    oscillation of the aperture paths.  phi must be vectorized over (x1, x2,
-    x3) arrays.  Each distinct lattice line is sampled once on the depth
-    grid and the per-tube samples are gathered from those.
-    """
-    if not fissures:
-        return 0.0
-    geo = fissures[0].geometry
-    eps = geo.epsilon
-    lines, pairs, centers = distinct_lines(fissures)
-    x3_nodes, x3_w = depth_quadrature(geo, lines, panels_per_period)
-    s_nodes = geo.stretched_depth(x3_nodes)
-    g2, _ = gauss_legendre(2)
-    gauss_off = g2 - 0.5  # offsets in (-1/2, 1/2)
-
-    minus = np.array([hp.minus(s_nodes) for hp in lines])
-    plus = np.array([hp.plus(s_nodes) for hp in lines])
-    # per line: opening, centre offset, Gauss offsets across the opening and
-    # the area factor, each rounded as if it were formed per tube
-    q = plus - minus
-    mid = eps * 0.5 * (plus + minus)
-    spread = (eps * q)[..., None] * gauss_off
-    area_q = eps * eps * q
-    # tubes in blocks: each tube's row is computed alone, so the blocks only
-    # bound the (F, H, 2, 2) samples held at once
-    per_fissure = []
-    for start in range(0, len(pairs), _VOLUME_BLOCK):
-        rows = slice(start, start + _VOLUME_BLOCK)
-        i1, i2 = pairs[rows].T
-        base1, base2 = centers[rows].T
-        # sample points: (F, H, 2, 2)
-        x1 = (base1[:, None] + mid[i1])[..., None, None] \
-            + spread[i1][..., :, None]
-        x2 = (base2[:, None] + mid[i2])[..., None, None] \
-            + spread[i2][..., None, :]
-        shape = (len(i1), len(x3_nodes), 2, 2)
-        x3 = np.broadcast_to(x3_nodes[None, :, None, None], shape)
-        vals = np.broadcast_to(np.asarray(phi(x1, x2, x3), dtype=float),
-                               shape)
-        # x2 first: a value constant in x2 then averages to itself exactly;
-        # each pair mean is (a + b) / 2, as numpy's mean of two rounds it
-        cell_mean = ((vals[..., 0, 0] + vals[..., 0, 1]) / 2
-                     + (vals[..., 1, 0] + vals[..., 1, 1]) / 2) / 2
-        area = area_q[i1] * q[i2]
-        per_fissure.append((cell_mean * area * x3_w[None, :]).sum(axis=1))
-    return fsum(np.concatenate(per_fissure))
 
 
 def surface_integral(geometry: GeometryParams, phi) -> float:

@@ -61,9 +61,11 @@ class ProcessParams:
             raise ValueError(f"process kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind != "shot_noise" and len(self.amplitudes) != len(self.frequencies):
             raise ValueError("amplitudes and frequencies must have equal length")
-        if any(f <= 0 for f in self.frequencies):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not all(f > 0 for f in self.frequencies):
             raise ValueError("frequencies must be positive")
-        if any(a < 0 for a in self.amplitudes):
+        if not all(a >= 0 for a in self.amplitudes):
             raise ValueError("amplitudes must be nonnegative")
 
 
@@ -304,12 +306,12 @@ def build_path(params: ProcessParams) -> StationaryPath:
                 f"aperture upper bound violated: need {hi:.6g} <= upper_bound < 1, "
                 f"got upper_bound={c2}")
     elif params.kind == "centerline_r":
-        if abs(params.mean) + (hi - lo) / 2.0 > 1.0 + 1e-15:
+        if not abs(params.mean) + (hi - lo) / 2.0 <= 1.0 + 1e-15:
             raise ValueError("centerline path must stay within [-1, 1]")
     if params.deriv_bound is not None and params.kind != "constant":
         for order in (1, 2, 3):
             b = path.derivative_bound(order)
-            if b > params.deriv_bound + 1e-12:
+            if not b <= params.deriv_bound + 1e-12:
                 raise ValueError(
                     f"derivative bound violated at order {order}: certified "
                     f"{b:.6g} exceeds deriv_bound={params.deriv_bound}")

@@ -24,20 +24,18 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import (derive_seed, fit_loglog_slope, sym_inv_sqrt,
+from ._numerics import (derive_seed, fit_loglog_slope, fsum, sym_inv_sqrt,
                         uniform_from_hash)
 from .cell import DragCell, compute_kstar, solve_stokes_cell
 from .fissure_transport import (FissureODEConfig, PairBrackets,
                                 fine_interface_fluxes, limit_comparison,
                                 pair_brackets, transmission_coeffs)
-from .fissures import (Fissure, GeometryParams, HalfPaths, depth_quadrature,
-                       distinct_lines, enumerate_fissures,
-                       fissure_volume_integral, surface_integral)
+from .fissures import (Fissure, FissureField, GeometryParams, HalfPaths,
+                       enumerate_fissures, surface_integral)
 from .stochastic import (ErgodicStats, PhaseSequence, ProcessParams,
                          build_path, estimate_brackets)
 
@@ -152,6 +150,13 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     one rung to the next.  `params_q` defaults to the fast aperture
     APERTURE_FAST; the pipeline's sweep stage passes the configured
     aperture instead (frequencies 1 and sqrt 2 by default).
+
+    The volumes are line sums.  At each depth node the cross-section of
+    tube (i, j) is a rectangle of sides eps q_i by eps q_j centred at
+    (c_i, c_j), so the integral of 1 over all of them is
+    eps^2 (sum_i q_i)(sum_j q_j), and that of x1 is
+    eps^2 (sum_i c_i q_i)(sum_j q_j): exact, since a 2-point Gauss average
+    of a linear function is its midpoint value.
     """
     stats = reference_stats(params_q, params_r)
     tests = {
@@ -169,38 +174,33 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                                        phase_bound)
             fissures = enumerate_fissures(geometry, q, r, phases)
             row = {"eps": eps, "trial": trial, "n_fissures": len(fissures)}
-            for key, phi in tests.items():
-                vol = fissure_volume_integral(fissures, phi)
+            for key, vol in zip(tests, _union_volumes(fissures)):
                 row[key] = abs(vol - limits[key]) / abs(limits[key])
             rows.append(row)
     return _summarize("measure", eps_values, tuple(tests), rows,
                       n_realizations)
 
 
-def _pair_averages(fissures: Sequence[Fissure],
-                   panels_per_period: float = 6.0):
-    """Per-fissure height averages of the aperture product, its reciprocal,
-    and the product at the interface plane.
+def _union_volumes(fissures: FissureField) -> tuple[float, float]:
+    """Integrals of 1 and of x1 over the tube union from line sums, on 4
+    depth panels per stretched period; both 0 for an empty field."""
+    eps = fissures.geometry.epsilon
+    w, (q1, c1), (q2, _) = fissures.sample_lines(4.0)
+    depth = eps * eps * w * q2.sum(axis=0)
+    return fsum(q1.sum(axis=0) * depth), fsum((c1 * q1).sum(axis=0) * depth)
 
-    Each distinct lattice line is sampled once.  The height averages run one
-    dot product per tube: numpy's stacked matmul of (1, H) rows by an (H, 1)
-    weight column calls the same dot kernel per tube as `row @ w`, in one C
-    loop.  A plain matrix-vector product over all tubes (gemv) rounds
-    differently.
-    """
-    geo = fissures[0].geometry
-    h = geo.height
-    lines, pairs, _ = distinct_lines(fissures)
-    x3, w = depth_quadrature(geo, lines, panels_per_period)
-    s = geo.stretched_depth(x3)
-    width = np.array([hp.width(s) for hp in lines], dtype=float)
-    width0 = np.array([float(hp.width(0.0)) for hp in lines])
-    i1, i2 = pairs.T
-    qq = width[i1] * width[i2]
-    qbar = np.matmul(qq[:, None, :], w[:, None])[:, 0, 0] / h
-    rbar = np.matmul((1.0 / qq)[:, None, :], w[:, None])[:, 0, 0] / h
-    q0 = width0[i1] * width0[i2]
-    return qbar, rbar, q0
+
+def _energy_sums(fissures: FissureField) -> tuple[float, float, float]:
+    """Sums over the tubes of Qbar, Qbar Rbar and q_i(0) q_j(0) from line
+    sums, on 6 depth panels per stretched period."""
+    h = fissures.geometry.height
+    w, (q1, _), (q2, _) = fissures.sample_lines(6.0)
+    sum_qbar = fsum(w * q1.sum(axis=0) * q2.sum(axis=0)) / h
+    qbar = (q1 * w) @ q2.T / h
+    rbar = (w / q1) @ (1.0 / q2).T / h
+    q0 = [fsum([float(fissures.lines[n].width(0.0)) for n in indices])
+          for indices in (fissures.rows, fissures.cols)]
+    return sum_qbar, float(np.sum(qbar * rbar)), q0[0] * q0[1]
 
 
 def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -233,6 +233,13 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     uncovered boundary ring dominates the trend.  The weights are the
     fissure viscosity mu_f = 0.05, the slip coefficient gamma = 0.05 and the
     bed permeabilities 1.3 (upper) and 0.8 (lower).
+
+    The tube sums factor over the 2n lines.  With W1 and W2 the (n, H)
+    samples of the row and column openings on the depth weights w, the sum
+    of Qbar is sum_k w_k (sum_i q_i)(sum_j q_j) / h; the Qbar and Rbar of
+    all tubes are the Gram matrices (W1 w) W2^T / h and (W1^-1 w) W2^-T / h,
+    whose elementwise product sums to the sum of Qbar Rbar; and the slip
+    sum is (sum_i q_i(0))(sum_j q_j(0)).
     """
     mu_fissure, slip_gamma = 0.05, 0.05
     stats = reference_stats(params_q, params_r)
@@ -262,12 +269,12 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
             q, r, phases = _draw_paths(seed, trial, params_q, params_r,
                                        phase_bound)
             fissures = enumerate_fissures(geometry, q, r, phases)
-            qbar, rbar, q0 = _pair_averages(fissures)
+            sum_qbar, sum_qbar_rbar, sum_q0 = _energy_sums(fissures)
             e_tan = mu_fissure * height * eps * eps \
-                / stats.mean_q ** 2 * tan_coeff * float(np.sum(qbar))
+                / stats.mean_q ** 2 * tan_coeff * sum_qbar
             e_vert = mu_fissure * height * eps * eps / k0 * v3 ** 2 \
-                * float(np.sum(qbar * rbar))
-            e_slip = slip_gamma * eps * eps * slip_coeff * float(np.sum(q0))
+                * sum_qbar_rbar
+            e_slip = slip_gamma * eps * eps * slip_coeff * sum_q0
             rows.append({
                 "eps": eps, "trial": trial, "n_fissures": len(fissures),
                 "rel_err_total": abs(e_tan + e_vert + e_slip - lim_total)

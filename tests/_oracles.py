@@ -8,9 +8,11 @@ resolutions agreeing to ~1e-12.
 The per-tube loops at the end are the retained references of the
 line-factored fast paths in `fisshom.fissures` and `fisshom.verify`: they
 draw the phases and evaluate the four half-opening paths of every tube
-separately, and the fast paths must reproduce them bit for bit.  The
-per-window loop is the same kind of reference for
-`fisshom.stochastic.window_means`, which samples all windows at once.
+separately.  The lattice enumeration must reproduce them bit for bit; the
+line sums of the measure and energy sweeps reorder the per-tube sums, and
+must agree with them to 1e-14 relative.  The per-window loop is the same
+kind of reference for `fisshom.stochastic.window_means`, which samples all
+windows at once.
 
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) routes in `fisshom.limit_flow` and
@@ -105,7 +107,7 @@ def window_means_per_window(T, window_len, max_freq, weighted):
 
 
 # ---------------------------------------------------------------------------
-# per-tube references of the lattice enumeration and tube-union quadratures
+# per-tube references of the lattice enumeration and the sweeps' line sums
 
 
 def enumerate_per_tube(geometry, q_path, r_path, phases):
@@ -145,9 +147,11 @@ def _depth_quadrature(fissures, panels_per_period):
 
 
 def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
-    """`fissure_volume_integral` with the four paths of each tube evaluated
-    tube by tube and the 2x2 cross-section samples averaged by numpy's
-    mean, over x2 and then over x1."""
+    """Integral of phi over the union of fissure tubes, tube by tube: the
+    four paths of each tube are evaluated on composite Gauss panels in x3,
+    and each rectangular cross-section is integrated by its area times
+    the 2x2 Gauss mean, over x2 and then over x1.  The reference of
+    `verify._union_volumes` for phi = 1 and phi = x1."""
     if not fissures:
         return 0.0
     geo = fissures[0].geometry
@@ -187,8 +191,9 @@ def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
 
 
 def pair_averages_per_tube(fissures, panels_per_period=6.0):
-    """`verify._pair_averages` with the aperture products of each tube
-    evaluated tube by tube."""
+    """Per-tube height averages of the aperture product, its reciprocal,
+    and the product at the interface plane, tube by tube.  Their sums are
+    the reference of `verify._energy_sums`."""
     geo = fissures[0].geometry
     h = geo.height
     x3, w = _depth_quadrature(fissures, panels_per_period)

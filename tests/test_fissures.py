@@ -1,4 +1,8 @@
-"""Tests for fissure geometry, enumeration, and measure quadrature."""
+"""Tests for fissure geometry, enumeration, and measure quadrature.
+
+The tube-union integrals here are taken by the per-tube reference
+`volume_integral_per_tube`; the sweeps' line sums are checked against it
+in test_verify.py."""
 
 import math
 from dataclasses import replace
@@ -8,16 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import enumerate_per_tube
+from _oracles import enumerate_per_tube, volume_integral_per_tube
 from fisshom.fissures import (
     Fissure,
     GeometryParams,
     HalfPaths,
     certified_offsets,
-    distinct_lines,
     enumerate_fissures,
     fissure_census,
-    fissure_volume_integral,
     surface_integral,
 )
 from fisshom import verify
@@ -117,33 +119,6 @@ def test_aperture_width_within_process_bounds():
     assert np.all(width <= 0.7 + 1e-12)
 
 
-def test_distinct_lines_keys_lines_by_value():
-    _, q, r, ph = make_field()
-    geo = GeometryParams(epsilon=0.125, theta=0.5, height=1.0,
-                         x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
-    fissures = enumerate_fissures(geo, q, r, ph)
-    lines, pairs, centers = distinct_lines(fissures)
-    # the field builds one HalfPaths per lattice index, shared by line i
-    # of either axis, so the distinct lines are the union of the two index
-    # ranges
-    indices = {f.i for f in fissures} | {f.j for f in fissures}
-    assert len(lines) == len(indices)
-    assert pairs.shape == centers.shape == (len(fissures), 2)
-    for k, f in enumerate(fissures):
-        for axis in (0, 1):
-            hp, ref = lines[pairs[k, axis]], f.line(axis)
-            assert (hp.alpha, hp.beta) == (ref.alpha, ref.beta)
-            assert hp.q.base is ref.q.base and hp.r.base is ref.r.base
-        assert tuple(centers[k]) == f.center
-    # same shifts on another base path are another line
-    other = build_path(Q_PARAMS)
-    hp = fissures[0].line_x1
-    twin = Fissure(i=0, j=0, geometry=geo, line_x1=hp,
-                   line_x2=HalfPaths(other, r, hp.alpha, hp.beta))
-    lines, pairs, _ = distinct_lines([twin])
-    assert len(lines) == 2 and tuple(pairs[0]) == (0, 1)
-
-
 def _field_cases():
     """Unequal x1/x2 extents, disjoint ones, and the unit square that the
     pipeline's sweeps and fissure stage enumerate."""
@@ -185,13 +160,6 @@ def test_field_matches_per_tube_enumeration(case):
             == [(f.i, f.j) for f in reference[key]]
     with pytest.raises(IndexError):
         field[len(field)]
-    # the field's line table is the by-value walk of its tubes
-    lines, pairs, centers = distinct_lines(field)
-    walked, walked_pairs, walked_centers = distinct_lines(list(field))
-    assert len(lines) == len(walked)
-    assert all(lines[a] is walked[b]
-               for a, b in zip(pairs.ravel(), walked_pairs.ravel()))
-    assert centers.tobytes() == walked_centers.tobytes()
 
 
 @pytest.mark.parametrize("case", FIELD_CASES, ids=FIELD_IDS)
@@ -226,13 +194,13 @@ def test_volume_integral_single_fissure_cross_check():
     geo, q, r, ph = make_field(eps=0.125, theta=0.5)
     f = enumerate_fissures(geo, q, r, ph)[0]
 
-    val = fissure_volume_integral([f], lambda x1, x2, x3: np.ones_like(x1))
+    val = volume_integral_per_tube([f], lambda x1, x2, x3: np.ones_like(x1))
     x3 = np.linspace(-1.0, 0.0, 40001)
     s = geo.stretched_depth(x3)
     dense = np.trapezoid(f.line_x1.width(s) * f.line_x2.width(s), x3)
     assert val == pytest.approx(geo.epsilon**2 * dense, rel=1e-9)
 
-    val_x1 = fissure_volume_integral([f], lambda x1, x2, x3: x1)
+    val_x1 = volume_integral_per_tube([f], lambda x1, x2, x3: x1)
     mid = f.i * geo.epsilon + geo.epsilon * 0.5 * (f.line_x1.plus(s)
                                                    + f.line_x1.minus(s))
     dense_x1 = np.trapezoid(
@@ -245,7 +213,7 @@ def test_volume_integral_scales_with_epsilon_squared():
     for eps in (0.25, 0.125):
         geo, q, r, ph = make_field(eps=eps, seed=9)
         fs = enumerate_fissures(geo, q, r, ph)
-        vals[eps] = fissure_volume_integral(
+        vals[eps] = volume_integral_per_tube(
             fs, lambda x1, x2, x3: np.ones_like(x1)) / len(fs)
     assert vals[0.25] / vals[0.125] == pytest.approx(4.0, rel=0.2)
 
@@ -263,9 +231,9 @@ def test_wall_vanishing_field_poincare_ratio():
         return u, du
 
     for f in fs:
-        num = fissure_volume_integral(
+        num = volume_integral_per_tube(
             [f], lambda x1, x2, x3: u_and_du(x1, x2, x3, f)[0] ** 2)
-        den = fissure_volume_integral(
+        den = volume_integral_per_tube(
             [f], lambda x1, x2, x3: u_and_du(x1, x2, x3, f)[1] ** 2)
         ratio = num / den
         bound = geo.epsilon**2 * 0.7**2 / math.pi**2
@@ -285,7 +253,7 @@ def test_volume_integral_of_x2_dependent_functions():
               lambda c1, c2: (2 * a * c1) * (2 * a * c2))]
     for phi, exact in cases:
         ref = sum(height * exact(f.i * eps, f.j * eps) for f in tubes)
-        assert fissure_volume_integral(tubes, phi) \
+        assert volume_integral_per_tube(tubes, phi) \
             == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 

@@ -62,18 +62,35 @@ def test_params_validation_rejects_bad_derivative_bound():
         build_path(ProcessParams(kind="aperture_q", mean=0.5, amplitudes=(0.1,),
                                  frequencies=(3.0,), lower_bound=0.3,
                                  upper_bound=0.7, deriv_bound=0.2))
+    # a NaN bound must not skip the check
+    with pytest.raises(ValueError, match="derivative bound"):
+        build_path(ProcessParams(kind="aperture_q", mean=0.5, amplitudes=(0.1,),
+                                 frequencies=(3.0,), lower_bound=0.3,
+                                 upper_bound=0.7, deriv_bound=math.nan))
 
 
 def test_params_validation_rejects_mismatched_lengths():
     with pytest.raises(ValueError, match="equal length"):
         ProcessParams(kind="aperture_q", mean=0.5, amplitudes=(0.1, 0.2),
                       frequencies=(1.0,))
+    # a NaN frequency is rejected for every kind
+    for kind in ("aperture_q", "centerline_r", "constant", "shot_noise"):
+        with pytest.raises(ValueError, match="frequencies"):
+            build_path(ProcessParams(kind=kind, mean=0.5, amplitudes=(0.1,),
+                                     frequencies=(math.nan,), lower_bound=0.3,
+                                     upper_bound=0.7))
 
 
 def test_centerline_range_check():
     with pytest.raises(ValueError, match="within"):
         build_path(ProcessParams(kind="centerline_r", mean=0.9,
                                  amplitudes=(0.2,), frequencies=(1.0,)))
+    with pytest.raises(ValueError, match="mean"):
+        build_path(ProcessParams(kind="centerline_r", mean=math.nan,
+                                 amplitudes=(0.05,), frequencies=(0.618,)))
+    with pytest.raises(ValueError, match="amplitudes"):
+        build_path(ProcessParams(kind="centerline_r", mean=0.0,
+                                 amplitudes=(math.nan,), frequencies=(0.618,)))
     # fine at the boundary
     build_path(ProcessParams(kind="centerline_r", mean=0.0, amplitudes=(0.05,),
                              frequencies=(0.618,)))
@@ -112,6 +129,8 @@ def test_derivatives_match_finite_differences():
 
 
 def test_constant_path_brackets_are_exact():
+    with pytest.raises(ValueError, match="mean"):
+        build_path(ProcessParams(kind="constant", mean=math.nan))
     est = estimate_brackets(
         ConstantPath(ProcessParams(kind="constant", mean=0.37)), T=200.0)
     assert est.mean_q == pytest.approx(0.37, rel=1e-14)

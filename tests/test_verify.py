@@ -13,9 +13,10 @@ import pytest
 
 from _oracles import pair_averages_per_tube, volume_integral_per_tube
 from fisshom.fissures import (Fissure, GeometryParams, HalfPaths,
-                              enumerate_fissures, fissure_volume_integral)
+                              enumerate_fissures)
 from fisshom.stochastic import PhaseSequence, ProcessParams, build_path
 from fisshom import verify
+from test_fissures import FIELD_CASES, FIELD_IDS
 
 
 CONST_Q = ProcessParams(kind="constant", mean=0.5)
@@ -47,7 +48,8 @@ def test_measure_sweep_decreasing_with_expected_counts():
 
 
 def test_measure_constant_geometry_is_pure_ring_deficit():
-    s = verify.measure_limit_sweep(eps_values=(1 / 8, 1 / 16),
+    s = verify.measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32,
+                                               1 / 64, 1 / 128, 1 / 256),
                                    n_realizations=1,
                                    params_q=CONST_Q, params_r=CONST_R)
     for k, eps in enumerate(s.eps_values):
@@ -71,7 +73,8 @@ def test_energy_constant_vertical_collapses_to_ring():
     # Constant aperture and a purely vertical field: the bracket factors
     # cancel and the limit is mu h V^2 |Sigma| / k0, so the whole error is
     # the uncovered ring.
-    s = verify.energy_density_sweep(eps_values=(1 / 8, 1 / 16),
+    s = verify.energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32,
+                                                1 / 64, 1 / 128, 1 / 256),
                                     n_realizations=1,
                                     test_field=(0.0, 0.0, 0.9),
                                     params_q=CONST_Q, params_r=CONST_R)
@@ -132,38 +135,32 @@ def test_summary_slope_and_helpers():
 
 
 # ---------------------------------------------------------------------------
-# line-factored tube-union quadratures against their per-tube references
+# line sums of the measure and energy sweeps against their per-tube
+# references
 
 TEST_FUNCTIONS = (
     lambda x1, x2, x3: np.ones_like(x1),
     lambda x1, x2, x3: x1,
-    lambda x1, x2, x3: np.sin(3.0 * x1) + x3 ** 2,
 )
 
 
-def _enumerated(eps):
+def _enumerated(eps, x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0)):
     geo = GeometryParams(epsilon=eps, theta=0.5, height=1.0,
-                         x1_extent=(0.0, 1.5), x2_extent=(0.25, 1.0))
+                         x1_extent=x1_extent, x2_extent=x2_extent)
     q = build_path(verify.APERTURE_FAST)
     r = build_path(verify.CENTERLINE_DEFAULT)
     return enumerate_fissures(geo, q, r, PhaseSequence(bound=0.3, seed=4))
 
 
 def _lines():
-    """Half-opening lines that differ in one key part each: `equal`
-    repeats `shared` as a separate object, `slid` shifts its centerline,
-    `moved` takes another centerline path and `fast` an aperture with
-    frequencies 12 and 12 sqrt 2."""
+    """Half-opening lines on the default aperture, `shared`, and on one
+    with frequencies 12 and 12 sqrt 2, `fast`."""
     q = build_path(verify.APERTURE_DEFAULT)
     q_fast = build_path(replace(verify.APERTURE_DEFAULT, seed=3,
                                 frequencies=(12.0, 12.0 * math.sqrt(2.0)),
                                 deriv_bound=None))
     r = build_path(verify.CENTERLINE_DEFAULT)
-    r_other = build_path(replace(verify.CENTERLINE_DEFAULT, seed=5))
     return {"shared": HalfPaths(q, r, 0.1, -0.2),
-            "equal": HalfPaths(q, r, 0.1, -0.2),
-            "slid": HalfPaths(q, r, 0.1, 0.25),
-            "moved": HalfPaths(q, r_other, 0.1, -0.2),
             "fast": HalfPaths(q_fast, r, 0.1, -0.2)}
 
 
@@ -173,51 +170,53 @@ def _tubes(line_pairs):
                     line_x2=b) for k, (a, b) in enumerate(line_pairs)]
 
 
-def _hand_built():
-    """Tubes that share HalfPaths objects, repeat equal ones and mix base
-    paths, with the fastest aperture on x2 only in some tubes."""
-    L = _lines()
-    return _tubes([(L["shared"], L["shared"]), (L["shared"], L["equal"]),
-                   (L["equal"], L["fast"]), (L["moved"], L["shared"]),
-                   (L["slid"], L["moved"]), (L["fast"], L["slid"]),
-                   (L["shared"], L["fast"])])
-
-
 def _single():
-    return _enumerated(1 / 8)[11:12]
+    """The field of tube (3, 5) alone, from extents that hold one line
+    per axis."""
+    field = _enumerated(1 / 8, (0.32, 0.43), (0.57, 0.68))
+    assert (len(field), field[0].i, field[0].j) == (1, 3, 5)
+    return field
 
 
-@pytest.mark.parametrize("build", [lambda: _enumerated(1 / 8),
-                                   lambda: _enumerated(1 / 16),
-                                   lambda: _enumerated(1 / 64),
-                                   _hand_built, _single],
-                         ids=["field_eps8", "field_eps16", "field_eps64",
-                              "hand_built", "single_tube"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _enumerated(1 / 8), lambda: _enumerated(1 / 16),
+     lambda: _enumerated(1 / 32), lambda: _enumerated(1 / 64), _single]
+    + [lambda case=case: enumerate_fissures(*case) for case in FIELD_CASES],
+    ids=["field_eps8", "field_eps16", "field_eps32", "field_eps64",
+         "single_tube"] + FIELD_IDS)
 def test_line_factored_quadratures_match_per_tube_loops(build):
+    # the line sums reorder the per-tube sums, so they agree to rounding
     fissures = build()
-    for phi in TEST_FUNCTIONS:
-        assert fissure_volume_integral(fissures, phi) \
-            == volume_integral_per_tube(fissures, phi)
-    fast = verify._pair_averages(fissures)
-    reference = pair_averages_per_tube(fissures)
-    for got, ref in zip(fast, reference):
-        assert np.array_equal(got, ref)
+    for got, phi in zip(verify._union_volumes(fissures), TEST_FUNCTIONS):
+        assert got == pytest.approx(volume_integral_per_tube(fissures, phi),
+                                    rel=1e-14, abs=0.0)
+    qbar, rbar, q0 = pair_averages_per_tube(fissures)
+    for got, ref in zip(verify._energy_sums(fissures),
+                        (np.sum(qbar), np.sum(qbar * rbar), np.sum(q0))):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x1_extent", [(0.32, 0.36), (0.0, 1.0)],
+                         ids=["no_lines", "no_columns"])
+def test_empty_field_has_zero_volume(x1_extent):
+    fissures = _enumerated(1 / 8, x1_extent, (0.32, 0.36))
+    assert len(fissures) == 0
+    assert verify._union_volumes(fissures) == (0.0, 0.0)
+    assert volume_integral_per_tube(fissures, TEST_FUNCTIONS[0]) == 0.0
 
 
 def test_volume_integral_of_coupled_integrands_matches_per_tube_loop():
-    # the explicit 2x2 Gauss average rounds as numpy's mean over x2 and then
-    # over x1, also for integrands that couple x1 and x2; tube by tube, so
-    # that a last-bit change is not lost in the sum over the field
+    # the tubes are disjoint, so the union integral is the sum of the tube
+    # integrals, also for integrands that couple x1 and x2
     fissures = _enumerated(1 / 8)
 
     def phi(x1, x2, x3):
         return np.sin(3.0 * x1) * np.cos(5.0 * x2) + x1 * x2 * x3
 
-    assert fissure_volume_integral(fissures, phi) \
-        == volume_integral_per_tube(fissures, phi)
-    for tube in fissures:
-        assert fissure_volume_integral([tube], phi) \
-            == volume_integral_per_tube([tube], phi)
+    assert volume_integral_per_tube(fissures, phi) \
+        == math.fsum(volume_integral_per_tube([tube], phi)
+                     for tube in fissures)
 
 
 @pytest.mark.parametrize("fast_axis", [0, 1])
@@ -228,9 +227,9 @@ def test_depth_panels_resolve_the_faster_axis(fast_axis):
     pair = (L["fast"], L["shared"])
     tube = _tubes([pair if fast_axis == 0 else pair[::-1]])
     phi = TEST_FUNCTIONS[0]
-    vol = fissure_volume_integral(tube, phi)
-    ref = fissure_volume_integral(tube, phi, panels_per_period=64)
+    vol = volume_integral_per_tube(tube, phi)
+    ref = volume_integral_per_tube(tube, phi, panels_per_period=64)
     assert vol == pytest.approx(ref, rel=1e-10, abs=0.0)
-    for got, ref in zip(verify._pair_averages(tube),
-                        verify._pair_averages(tube, panels_per_period=64)):
+    for got, ref in zip(pair_averages_per_tube(tube),
+                        pair_averages_per_tube(tube, panels_per_period=64)):
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
