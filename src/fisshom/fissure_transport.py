@@ -70,8 +70,11 @@ class PairBrackets:
     mean_inv_qq: float
 
     def __post_init__(self):
-        if self.mean_qq * self.mean_inv_qq < 1.0 - 1e-12:
-            raise ValueError("pair brackets violate Cauchy-Schwarz")
+        # written so that NaN fails: it compares False with any bound
+        if not self.mean_qq * self.mean_inv_qq >= 1.0 - 1e-12:
+            raise ValueError(
+                f"pair brackets violate Cauchy-Schwarz: mean_qq="
+                f"{self.mean_qq}, mean_inv_qq={self.mean_inv_qq}")
 
 
 def pair_brackets(cfg: FissureODEConfig, T: float = 2.0e3) -> PairBrackets:
@@ -156,48 +159,55 @@ class _CumulativeSimpson:
         self.odd = [c[::-1][0::2] for c in _simpson_coeffs(dx[::-1])]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """int_{x_0}^{x_k} y ds at every node."""
-        y_a, y_b, y_c = y[:-2:2], y[1::2], y[2::2]
+        """int_{x_0}^{x_k} y ds at every node, along the last axis."""
+        y_a, y_b, y_c = y[..., :-2:2], y[..., 1::2], y[..., 2::2]
         a, a1, a2, a3 = self.even
         b, b1, b2, b3 = self.odd
-        pieces = np.empty(self.n)
-        pieces[0::2] = a * (a1 * y_a + a2 * y_b + a3 * y_c)
-        pieces[1::2] = b * (b1 * y_c + b2 * y_b + b3 * y_a)
-        F = np.empty(self.n + 1)
-        F[0] = 0.0
-        np.cumsum(pieces, out=F[1:])
+        pieces = np.empty(y.shape[:-1] + (self.n,))
+        pieces[..., 0::2] = a * (a1 * y_a + a2 * y_b + a3 * y_c)
+        pieces[..., 1::2] = b * (b1 * y_c + b2 * y_b + b3 * y_a)
+        F = np.empty(y.shape)
+        F[..., 0] = 0.0
+        np.cumsum(pieces, axis=-1, out=F[..., 1:])
         # SciPy adds `initial` to every entry, which turns -0.0 into 0.0
-        F[1:] += 0.0
+        F[..., 1:] += 0.0
         return F
 
     def from_zero(self, y: np.ndarray) -> np.ndarray:
         """int_0^x y ds, on a grid whose last node is 0."""
         F = self(y)
-        return F - F[-1]
+        return F - F[..., -1:]
 
 
 def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
-                    homogeneous: bool) -> tuple[np.ndarray, np.ndarray, int]:
+                    homogeneous: tuple[bool, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows w (homogeneous true) or z on one grid, F and G.  A row is left
+    alone once its own test holds: its iterates are a lone solve's."""
     D, R, v = cfg.diffusion, cfg.reaction, cfg.v3
     integral = _CumulativeSimpson(x).from_zero
     F = qq * np.exp(x * v / D)
     G = integral(np.exp(-x * v / D) / qq)
-    base = np.ones_like(x) if homogeneous else G
+    hom = np.array(homogeneous)[:, None]
+    base = np.where(hom, 1.0, G)
     u = base.copy()
-    iterations = 0
-    if R > 0.0:
-        for iterations in range(1, 201):
-            C = integral(F * u)
-            S = integral(F * u * G)
-            u_new = base + (R / D) * (G * C - S)
-            delta = float(np.max(np.abs(u_new - u)))
-            u = u_new
-            if delta <= 1e-13 * float(np.max(np.abs(u)) + 1.0):
-                break
-        else:
-            raise RuntimeError("successive approximation did not converge")
-    C = integral(F * u)
-    flux_exp = R * C + (0.0 if homogeneous else D)
+    iterations = np.zeros(len(homogeneous), dtype=int)
+    active = np.arange(len(homogeneous) if R > 0.0 else 0)
+    for it in range(1, 201):
+        if not active.size:
+            break
+        Fu = F * u[active]
+        u_new = base[active] + (R / D) * (G * integral(Fu)
+                                          - integral(Fu * G))
+        delta = np.max(np.abs(u_new - u[active]), axis=-1)
+        u[active] = u_new
+        iterations[active] = it
+        # a NaN delta keeps its row active, so it cannot pass as converged
+        active = active[~(delta <= 1e-13 * (np.max(np.abs(u_new), axis=-1)
+                                            + 1.0))]
+    if active.size:
+        raise RuntimeError("successive approximation did not converge")
+    flux_exp = R * integral(F * u) + np.where(hom, 0.0, D)
     return u, flux_exp, iterations
 
 
@@ -233,8 +243,9 @@ def _solve_rk4(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
     return u, flux_exp
 
 
-def _solve(cfg: FissureODEConfig, homogeneous: bool,
-           method: str) -> FissureODESolution:
+def _solve(cfg: FissureODEConfig, homogeneous: tuple[bool, ...],
+           method: str = "volterra") -> list[FissureODESolution]:
+    """w where homogeneous is true, z where not, on the tube's grid."""
     x = _grid(cfg)
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
     if method == "volterra":
@@ -242,23 +253,25 @@ def _solve(cfg: FissureODEConfig, homogeneous: bool,
     elif method == "rk4":
         x_mid = 0.5 * (x[1:] + x[:-1])
         qq_mid = np.asarray(tube_weight(cfg, x_mid), dtype=float)
-        u, flux = _solve_rk4(cfg, x, qq, qq_mid, homogeneous)
-        iters = len(x) - 1
+        u, flux = zip(*(_solve_rk4(cfg, x, qq, qq_mid, h)
+                        for h in homogeneous))
+        iters = [len(x) - 1] * len(homogeneous)
     else:
         raise ValueError("method must be 'volterra' or 'rk4'")
-    return FissureODESolution(x3=x, values=u, flux_exp=flux, iterations=iters)
+    return [FissureODESolution(x, values, f, int(it))
+            for values, f, it in zip(u, flux, iters)]
 
 
 def solve_w(cfg: FissureODEConfig, method: str = "volterra"
             ) -> FissureODESolution:
     """Fundamental solution with w(0) = 1, w'(0) = 0."""
-    return _solve(cfg, homogeneous=True, method=method)
+    return _solve(cfg, (True,), method)[0]
 
 
 def solve_z(cfg: FissureODEConfig, method: str = "volterra"
             ) -> FissureODESolution:
     """Fundamental solution with z(0) = 0, z'(0) = 1/qq(0)."""
-    return _solve(cfg, homogeneous=False, method=method)
+    return _solve(cfg, (False,), method)[0]
 
 
 def dual_route_gap(cfg: FissureODEConfig) -> float:
@@ -317,6 +330,12 @@ def transmission_coeffs(diffusion: float, reaction: float, v3: float,
     """
     if not (height > 0 and diffusion > 0):
         raise ValueError("height and diffusion must be positive")
+    for name, value, lo in (("reaction", reaction, 0.0),
+                            ("v3", v3, -math.inf), ("mean_qq", mean_qq, 0.0),
+                            ("mean_inv_qq", mean_inv_qq, 0.0)):
+        if not (lo <= value and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and at least {lo}, "
+                             f"got {value}")
     inv_resistance = mean_inv_qq / diffusion
     r_hat = math.sqrt(reaction * mean_qq * inv_resistance)
     if r_hat * height < 1e-8:
@@ -358,8 +377,7 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
     """
     D, v = cfg.diffusion, cfg.v3
     if kind == "reactive":
-        w_sol = solve_w(cfg)
-        z_sol = solve_z(cfg)
+        w_sol, z_sol = _solve(cfg, (True, False))
         zb = z_sol.at_bottom
         floor = z_bottom_floor(cfg)
         if not zb <= -floor * (1.0 - 1e-9):
@@ -430,8 +448,7 @@ def limit_comparison(cfg: FissureODEConfig, brackets: PairBrackets
         raise ValueError("limit profiles are defined for zero drift")
     D, R = cfg.diffusion, cfg.reaction
     r_hat = math.sqrt(R * brackets.mean_qq * brackets.mean_inv_qq / D)
-    w_sol = solve_w(cfg)
-    z_sol = solve_z(cfg)
+    w_sol, z_sol = _solve(cfg, (True, False))
     x = w_sol.x3
     w_lim = np.cosh(r_hat * x)
     z_lim = brackets.mean_inv_qq * np.sinh(r_hat * x) / r_hat if r_hat > 0 \

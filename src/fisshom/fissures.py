@@ -13,12 +13,16 @@ variation so the wall slope vanishes with eps.
 
 An n1 x n2 field therefore has only n1 + n2 distinct lines.  It is stored
 by line (FissureField): the phases of each line are drawn once, and
-`FissureField.sample_lines` samples each line once on the depth grid, so
-the sweeps' sums over the tube union are products of sums over the lines.
+`FissureField.sample_lines` samples all lines of an axis in one path call
+on the depth grid, so the sweeps' sums over the tube union are products of
+sums over the lines.  The paths sum their series in a fixed order, point
+by point, so a line's samples are the same whether it is evaluated alone
+or with the others.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -104,18 +108,31 @@ def certified_offsets(q_path: StationaryPath, r_path: StationaryPath
 class FissureField(Sequence):
     """The tubes of one lattice, stored by line.
 
-    Tube (i, j) is bounded by line i in x1 and line j in x2; a line's
-    shifts depend only on its index, so both axes share one HalfPaths per
-    index.  Length, indexing, slicing and iteration follow the row-major
-    (i, j) tube order and yield Fissure views.
+    Tube (i, j) is bounded by line i in x1 and line j in x2.  The field
+    keeps the aperture and centerline paths and, per axis, the phase shifts
+    (alpha, beta) of its lines; a shift depends only on the line's index.
+    Length, indexing, slicing and iteration follow the row-major (i, j)
+    tube order and yield Fissure views, whose HalfPaths are built on first
+    use, one per index.
     """
 
-    def __init__(self, geometry: GeometryParams, rows: range, cols: range,
-                 lines: dict[int, HalfPaths]):
+    def __init__(self, geometry: GeometryParams, q_path: StationaryPath,
+                 r_path: StationaryPath, rows: range, cols: range,
+                 shifts: tuple[tuple[np.ndarray, np.ndarray], ...]):
         self.geometry = geometry
+        self.q_path = q_path
+        self.r_path = r_path
         self.rows = rows
         self.cols = cols
-        self.lines = lines
+        self.shifts = shifts
+
+    @functools.cached_property
+    def lines(self) -> dict[int, HalfPaths]:
+        # an index on both axes has the same shifts on both
+        return {n: HalfPaths(self.q_path, self.r_path, a, b)
+                for ix, (alpha, beta) in zip((self.rows, self.cols),
+                                             self.shifts)
+                for n, a, b in zip(ix, alpha.tolist(), beta.tolist())}
 
     def _tube(self, i: int, j: int) -> Fissure:
         return Fissure(i=i, j=j, geometry=self.geometry,
@@ -137,27 +154,32 @@ class FissureField(Sequence):
                 yield self._tube(i, j)
 
     def sample_lines(self, panels_per_period: float):
-        """Every line sampled once on the rule of `depth_quadrature`.
+        """Every line sampled once on a composite 6-point Gauss rule on
+        (-height, 0), panels_per_period panels per stretched period of the
+        aperture path.
 
         Returns the depth weights (H,) and, for the rows and then for the
         columns, the (n, H) openings q(s) and centres n*eps + eps*r(s) of
         the lines: at depth node k, tube (i, j) has the rectangular
         cross-section of sides eps*q_i[k] by eps*q_j[k] centred at
-        (centre_i[k], centre_j[k]).
+        (centre_i[k], centre_j[k]).  Each axis takes one call per path, on
+        the (n, H) arguments s + alpha_n and s + beta_n.
         """
         geo = self.geometry
         eps = geo.epsilon
-        x3, w = depth_quadrature(geo, list(self.lines.values()),
-                                 panels_per_period)
+        rate = self.q_path.max_frequency * eps ** (-geo.theta)
+        n_panels = max(4, int(math.ceil(panels_per_period * geo.height
+                                        * rate / (2.0 * math.pi))))
+        x3, w = panel_quadrature(-geo.height, 0.0, n_panels, order=6)
         s = geo.stretched_depth(x3)
 
-        def axis(indices: range):
-            lines = [self.lines[n] for n in indices]
-            q = np.array([hp.width(s) for hp in lines]).reshape(-1, s.size)
-            r = np.array([hp.r(s) for hp in lines]).reshape(q.shape)
+        def axis(indices: range, alpha: np.ndarray, beta: np.ndarray):
+            q = self.q_path(s + alpha[:, None])
+            r = self.r_path(s + beta[:, None])
             return q, eps * np.array(indices)[:, None] + eps * r
 
-        return w, axis(self.rows), axis(self.cols)
+        return w, axis(self.rows, *self.shifts[0]), \
+            axis(self.cols, *self.shifts[1])
 
 
 def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
@@ -169,8 +191,7 @@ def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
     conservative: a kept fissure is contained for every realization of the
     phases.  Raises when the enclosure allows neighboring tubes to overlap
     (the model hypotheses exclude that regime).  The phases are drawn once
-    per line, one window per axis, and each lattice index gets one
-    HalfPaths.
+    per line, one window per axis.
     """
     a_lo, a_hi = certified_offsets(q_path, r_path)
     if a_hi >= 0.5 or a_lo <= -0.5:
@@ -186,26 +207,8 @@ def enumerate_fissures(geometry: GeometryParams, q_path: StationaryPath,
 
     rows = index_range(geometry.x1_extent)
     cols = index_range(geometry.x2_extent)
-    lines: dict[int, HalfPaths] = {}
-    for indices in (rows, cols):
-        alpha, beta = phases.window(indices.start, indices.stop)
-        for n, a, b in zip(indices, alpha.tolist(), beta.tolist()):
-            if n not in lines:
-                lines[n] = HalfPaths(q_path, r_path, a, b)
-    return FissureField(geometry, rows, cols, lines)
-
-
-def depth_quadrature(geometry: GeometryParams, lines: list[HalfPaths],
-                     panels_per_period: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 6-point Gauss rule on (-height, 0) with panels_per_period
-    panels per stretched period of the fastest aperture path among lines,
-    whichever axis they belong to."""
-    max_freq = max((hp.q.max_frequency for hp in lines), default=0.0)
-    rate = max_freq * geometry.epsilon ** (-geometry.theta)
-    n_panels = max(4, int(math.ceil(panels_per_period * geometry.height
-                                    * rate / (2.0 * math.pi))))
-    return panel_quadrature(-geometry.height, 0.0, n_panels, order=6)
+    shifts = tuple(phases.window(ix.start, ix.stop) for ix in (rows, cols))
+    return FissureField(geometry, q_path, r_path, rows, cols, shifts)
 
 
 def fissure_census(fissures: Sequence[Fissure]) -> np.ndarray:

@@ -151,6 +151,10 @@ class FourierPath(StationaryPath):
     Phases are iid uniform on [0, 2pi), drawn deterministically from the seed,
     which makes the path stationary; with pairwise incommensurate frequencies
     time averages of powers of the path converge to torus averages.
+
+    The series is summed elementwise in the fixed mode order, so a point's
+    value depends neither on the shape of the batch it comes in nor on the
+    BLAS kernel of the host.
     """
 
     def __init__(self, params: ProcessParams):
@@ -161,20 +165,23 @@ class FourierPath(StationaryPath):
         self.amps = np.asarray(params.amplitudes, dtype=float)
         self.freqs = np.asarray(params.frequencies, dtype=float)
 
-    def __call__(self, t):
+    def _series(self, t, order: int):
         t = np.asarray(t, dtype=float)
-        arg = np.multiply.outer(t, self.freqs) + self.phases
-        out = self.params.mean + np.cos(arg) @ self.amps
-        return out if t.ndim else float(out)
+        out = np.zeros_like(t)
+        for f, p, a in zip(self.freqs, self.phases,
+                           self.amps * self.freqs**order):
+            out += np.cos(t * f + p + order * 0.5 * math.pi) * a
+        if order == 0:
+            out = self.params.mean + out
+        return out if out.ndim else float(out)
+
+    def __call__(self, t):
+        return self._series(t, 0)
 
     def derivative(self, t, order: int = 1):
         if not 1 <= order <= 3:
             raise ValueError("derivative order must be 1, 2, or 3")
-        t = np.asarray(t, dtype=float)
-        arg = (np.multiply.outer(t, self.freqs) + self.phases
-               + order * 0.5 * math.pi)
-        out = np.cos(arg) @ (self.amps * self.freqs**order)
-        return out if t.ndim else float(out)
+        return self._series(t, order)
 
     def range_bounds(self):
         spread = float(np.sum(self.amps))
@@ -232,7 +239,7 @@ class ShotNoisePath(StationaryPath):
         raise ValueError("derivative order must be <= 3")
 
     def _sum(self, t, order: int):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.ravel(t)
         j0 = np.floor(t / self.spacing - self.global_phase).astype(np.int64)
         offs = np.arange(-self._window, self._window + 1)
         jj = j0[:, None] + offs[None, :]
@@ -368,10 +375,14 @@ class ErgodicStats:
     stderr: float
 
     def __post_init__(self):
-        if self.mean_q2 + 1e-12 < self.mean_q**2:
-            raise ValueError("mean square below squared mean: averaging bug")
-        if self.mean_q2 * self.mean_inv_q2 < 1.0 - 1e-12:
-            raise ValueError("Cauchy-Schwarz violated: averaging bug")
+        # written so that NaN fails: it compares False with any bound
+        if not self.mean_q2 + 1e-12 >= self.mean_q**2:
+            raise ValueError("mean square below squared mean: averaging bug "
+                             f"(mean_q={self.mean_q}, mean_q2={self.mean_q2})")
+        if not self.mean_q2 * self.mean_inv_q2 >= 1.0 - 1e-12:
+            raise ValueError("Cauchy-Schwarz violated: averaging bug "
+                             f"(mean_q2={self.mean_q2}, "
+                             f"mean_inv_q2={self.mean_inv_q2})")
 
 
 # Window length of the path averages, in path time.

@@ -198,8 +198,8 @@ def _energy_sums(fissures: FissureField) -> tuple[float, float, float]:
     sum_qbar = fsum(w * q1.sum(axis=0) * q2.sum(axis=0)) / h
     qbar = (q1 * w) @ q2.T / h
     rbar = (w / q1) @ (1.0 / q2).T / h
-    q0 = [fsum([float(fissures.lines[n].width(0.0)) for n in indices])
-          for indices in (fissures.rows, fissures.cols)]
+    # q_n(0) = q(alpha_n), one call per axis
+    q0 = [fsum(fissures.q_path(alpha)) for alpha, _ in fissures.shifts]
     return sum_qbar, float(np.sum(qbar * rbar)), q0[0] * q0[1]
 
 

@@ -12,7 +12,9 @@ separately.  The lattice enumeration must reproduce them bit for bit; the
 line sums of the measure and energy sweeps reorder the per-tube sums, and
 must agree with them to 1e-14 relative.  The per-window loop is the same
 kind of reference for `fisshom.stochastic.window_means`, which samples all
-windows at once.
+windows at once.  The matrix-vector form of the cosine series is the
+reference of `fisshom.stochastic.FourierPath`, which sums the modes one by
+one in a fixed order: the two agree to rounding.
 
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) routes in `fisshom.limit_flow` and
@@ -107,6 +109,21 @@ def window_means_per_window(T, window_len, max_freq, weighted):
 
 
 # ---------------------------------------------------------------------------
+# matrix-vector reference of the Fourier path
+
+
+def fourier_series_gemv(path, t, order=0):
+    """Value (order 0) or derivative of a `FourierPath` with the cosines of
+    all modes formed as one array and summed by a matrix-vector product:
+    the form whose rounding depends on the batch shape and the BLAS
+    kernel."""
+    arg = np.multiply.outer(np.asarray(t, dtype=float), path.freqs) \
+        + path.phases + order * 0.5 * math.pi
+    out = np.cos(arg) @ (path.amps * path.freqs**order)
+    return path.params.mean + out if order == 0 else out
+
+
+# ---------------------------------------------------------------------------
 # per-tube references of the lattice enumeration and the sweeps' line sums
 
 
@@ -133,7 +150,7 @@ def enumerate_per_tube(geometry, q_path, r_path, phases):
     return out
 
 
-def _depth_quadrature(fissures, panels_per_period):
+def depth_quadrature(fissures, panels_per_period):
     """Composite Gauss rule in x3 resolving the fastest aperture path of
     either axis."""
     geo = fissures[0].geometry
@@ -156,7 +173,7 @@ def volume_integral_per_tube(fissures, phi, panels_per_period=4.0):
         return 0.0
     geo = fissures[0].geometry
     eps = geo.epsilon
-    x3_nodes, x3_w = _depth_quadrature(fissures, panels_per_period)
+    x3_nodes, x3_w = depth_quadrature(fissures, panels_per_period)
     s_nodes = geo.stretched_depth(x3_nodes)
     g2, _ = gauss_legendre(2)
     gauss_off = g2 - 0.5
@@ -196,7 +213,7 @@ def pair_averages_per_tube(fissures, panels_per_period=6.0):
     the reference of `verify._energy_sums`."""
     geo = fissures[0].geometry
     h = geo.height
-    x3, w = _depth_quadrature(fissures, panels_per_period)
+    x3, w = depth_quadrature(fissures, panels_per_period)
     s = geo.stretched_depth(x3)
     F = len(fissures)
     qbar = np.empty(F)

@@ -257,6 +257,13 @@ def test_transmission_coth_spot_value():
     for diffusion, height in ((math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="positive"):
             transmission_coeffs(diffusion, 1.0, 0.0, height, 1.0, 1.0)
+    good = dict(diffusion=1.0, reaction=1.0, v3=0.0, height=1.0,
+                mean_qq=1.0, mean_inv_qq=1.0)
+    for name, value in (("reaction", math.nan), ("reaction", -1.0),
+                        ("v3", math.nan), ("mean_qq", math.nan),
+                        ("mean_inv_qq", math.nan)):
+        with pytest.raises(ValueError, match=name):
+            transmission_coeffs(**{**good, name: value})
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +293,10 @@ def test_pair_brackets_random_fissure():
     assert again.mean_qq == br.mean_qq
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         PairBrackets(mean_qq=0.25, mean_inv_qq=3.9)
+    for bad in (dict(mean_qq=math.nan, mean_inv_qq=4.1),
+                dict(mean_qq=0.25, mean_inv_qq=math.nan)):
+        with pytest.raises(ValueError, match="Cauchy-Schwarz.*nan"):
+            PairBrackets(**bad)
 
 
 def test_vertical_velocity_formula():
@@ -296,6 +307,31 @@ def test_vertical_velocity_formula():
     assert arr.shape == (2,)
     assert arr[0] == (2.5 - 1.0) * 0.035144 / (1.2 * 0.9 * 0.25445 * 4.22788)
     assert arr[1] == 0.0
+
+
+@pytest.mark.parametrize("reaction, v3, diffusion", [
+    (1.3, 0.0, 0.9), (0.8, 0.6, 0.9), (3.0, -0.5, 0.7), (0.0, 0.4, 0.9)],
+    ids=["no_drift", "drift", "drift_unequal_counts", "no_reaction"])
+def test_pair_solve_matches_single_row_solves(reaction, v3, diffusion):
+    # the rows of a stacked solve share one grid, and each stops at its
+    # own convergence test, so each equals its single-row solve bit for bit
+    cfg = FissureODEConfig(fissure=random_fissure(seed=2), diffusion=diffusion,
+                           reaction=reaction, v3=v3)
+    pair = fissure_transport._solve(cfg, (True, False))
+    for got, ref in zip(pair, (solve_w(cfg), solve_z(cfg))):
+        assert got.x3.tobytes() == ref.x3.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.flux_exp.tobytes() == ref.flux_exp.tobytes()
+        assert got.iterations == ref.iterations
+    counts = [sol.iterations for sol in pair]
+    if reaction == 0.0:
+        assert counts == [0, 0]
+    elif v3 == -0.5:
+        assert counts[0] != counts[1]
+    prof = build_profile(cfg, 1.2, 0.3, kind="reactive")
+    c = (0.3 - 1.2 * pair[0].at_bottom) / pair[1].at_bottom
+    assert prof.values.tobytes() \
+        == (1.2 * pair[0].values + c * pair[1].values).tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.02, 1e-3])

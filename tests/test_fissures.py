@@ -5,6 +5,10 @@ The tube-union integrals here are taken by the per-tube reference
 in test_verify.py."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import enumerate_per_tube, volume_integral_per_tube
+from _oracles import (depth_quadrature, enumerate_per_tube,
+                      volume_integral_per_tube)
 from fisshom.fissures import (
     Fissure,
     GeometryParams,
@@ -179,6 +184,67 @@ def test_enumeration_draws_each_line_once(case, monkeypatch):
     assert sum(drawn) == 2 * (n1 + n2)
     lines = {id(f.line(axis)) for f in field for axis in (0, 1)}
     assert len(lines) == len({f.i for f in field} | {f.j for f in field})
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=FIELD_IDS)
+def test_sample_lines_match_per_line_evaluation(case):
+    # one path call per axis gives each line the samples of its own call
+    geometry, q, r, phases = case
+    field = enumerate_fissures(*case)
+    eps = geometry.epsilon
+    x3, w_ref = depth_quadrature(enumerate_per_tube(*case), 4.0)
+    s = geometry.stretched_depth(x3)
+    w, *axes = field.sample_lines(4.0)
+    assert w.tobytes() == w_ref.tobytes()
+    for (q_got, c_got), indices in zip(axes, (field.rows, field.cols)):
+        lines = [HalfPaths(q, r, float(phases.alpha(n)), float(phases.beta(n)))
+                 for n in indices]
+        q_ref = np.array([hp.width(s) for hp in lines])
+        c_ref = np.array([eps * n + eps * hp.r(s)
+                          for n, hp in zip(indices, lines)])
+        assert q_got.tobytes() == q_ref.tobytes()
+        assert c_got.tobytes() == c_ref.tobytes()
+
+
+_KERNEL_PROBE = """
+import hashlib, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:]
+import test_fissures as tf
+from fisshom.fissures import enumerate_fissures
+h = hashlib.sha256()
+geometry, q, r, phases = tf.FIELD_CASES[2]
+t = np.linspace(-40.0, 40.0, 3000).reshape(3, 1000)
+for order in (1, 2, 3):
+    h.update(q.derivative(t, order).tobytes())
+h.update(q(t).tobytes() + r(t).tobytes())
+w, (q1, c1), (q2, c2) = enumerate_fissures(
+    geometry, q, r, phases).sample_lines(6.0)
+for a in (w, q1, c1, q2, c2):
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 names")
+def test_path_values_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for the child alone; the
+    # path values must come out the same, byte for byte, under each
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    digests = {}
+    for core in (None, "Haswell", "Nehalem", "Prescott"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE, here, src], env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        digests[core] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_census_is_deterministic():

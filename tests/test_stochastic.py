@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import window_means_per_window
+from _oracles import fourier_series_gemv, window_means_per_window
 from fisshom.stochastic import (
     WINDOW_LEN,
     ConstantPath,
@@ -200,6 +200,14 @@ def test_ergodic_stats_invariants_guard_against_bugs():
     with pytest.raises(ValueError, match="Cauchy"):
         ErgodicStats(mean_q=0.5, mean_q2=0.26, mean_inv_q2=1.0, mean_r=0.0,
                      window_T=1.0, stderr=0.0)
+    # NaN compares False with every bound, so each check must fail closed
+    for field, message in (("mean_q", "mean_q=nan"),
+                           ("mean_q2", "mean_q2=nan"),
+                           ("mean_inv_q2", "mean_inv_q2=nan")):
+        good = dict(mean_q=0.5, mean_q2=0.26, mean_inv_q2=4.0)
+        with pytest.raises(ValueError, match=message):
+            ErgodicStats(**{**good, field: math.nan}, mean_r=0.0,
+                         window_T=1.0, stderr=0.0)
 
 
 def test_phase_sequence_deterministic_and_bounded():
@@ -240,6 +248,34 @@ def test_shot_noise_path_certified_bounds_and_smoothness():
     assert np.max(np.abs(d1)) <= path.derivative_bound(1) + 1e-9
     fd = (path(t[1:]) - path(t[:-1])) / (t[1] - t[0])
     assert np.max(np.abs(fd - 0.5 * (d1[1:] + d1[:-1]))) < 1e-3
+
+
+def test_shot_noise_path_takes_arrays_of_any_shape():
+    path = build_path(SHOT_NOISE)
+    t = np.linspace(-7.0, 9.0, 12).reshape(3, 4)
+    for order in (0, 1, 2, 3):
+        f = path if order == 0 else lambda x: path.derivative(x, order)
+        got = f(t)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == f(t.ravel()).tobytes()
+    assert isinstance(path(1.5), float)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_fourier_path_is_batch_invariant(order):
+    # the modes are summed point by point in a fixed order, so a point's
+    # value does not depend on the batch it is evaluated in
+    path = build_path(TWO_MODE)
+    t = np.random.default_rng(5).uniform(-60.0, 60.0, (7, 41))
+    f = path if order == 0 else lambda x: path.derivative(x, order)
+    flat = f(t.ravel())
+    assert f(t).tobytes() == flat.reshape(t.shape).tobytes()
+    scalars = [f(x) for x in t.ravel().tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == flat.tobytes()
+    # and it is the matrix-vector form up to rounding
+    assert np.max(np.abs(f(t) - fourier_series_gemv(path, t, order))) \
+        <= 1e-15
 
 
 def test_shot_noise_time_average_stabilizes():
