@@ -18,36 +18,29 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import fft
 
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(state):
-    """One splitmix64 step, on a Python int or on numpy uint64 alike."""
-    z = (state + 0x9E3779B97F4A7C15) & _U64_MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
-    return z ^ (z >> 31)
+def _splitmix64(state: np.ndarray) -> np.ndarray:
+    z = (state + _SPLITMIX_GAMMA).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def hash_u64(*keys: int | np.ndarray) -> np.ndarray | np.uint64:
     """Stateless hash of an integer key tuple to uint64.
 
     Arrays broadcast; negative integers are zigzag-encoded first so that
-    indices from a doubly infinite lattice hash distinctly.  Leading Python
-    int keys are hashed as Python ints, with keys in [2^63, 2^64) wrapped to
-    int64 as numpy wraps them; numpy takes over from the first other key.
+    indices from a doubly infinite lattice hash distinctly.
     """
-    acc, k = 0x8000000000000000, 0
-    while k < len(keys) and type(keys[k]) is int \
-            and -2**63 <= keys[k] < 2**64:
-        signed = keys[k] - 2**64 if keys[k] >= 2**63 else keys[k]
-        acc = _splitmix64(acc ^ (2 * signed if signed >= 0
-                                 else -2 * signed - 1))
-        k += 1
-    acc = np.uint64(acc)
     with np.errstate(over="ignore"):
-        for key in keys[k:]:
-            a = np.asarray(key)
+        acc = np.uint64(0x8000000000000000)
+        for k in keys:
+            a = np.asarray(k)
             if a.dtype.kind in "iu":
                 signed = a.astype(np.int64)
             else:

@@ -163,15 +163,15 @@ def measure_limit_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
         "rel_err_const": lambda x1, x2, x3: np.ones_like(np.asarray(x1)),
         "rel_err_linear": lambda x1, x2, x3: np.asarray(x1),
     }
+    draws = [_draw_paths(seed, trial, params_q, params_r, phase_bound)
+             for trial in range(n_realizations)]
     rows: list[dict] = []
     for eps in eps_values:
         geometry = GeometryParams(epsilon=eps, theta=theta, height=height)
         limits = {key: height * stats.mean_q2
                   * surface_integral(geometry, phi)
                   for key, phi in tests.items()}
-        for trial in range(n_realizations):
-            q, r, phases = _draw_paths(seed, trial, params_q, params_r,
-                                       phase_bound)
+        for trial, (q, r, phases) in enumerate(draws):
             fissures = enumerate_fissures(geometry, q, r, phases)
             row = {"eps": eps, "trial": trial, "n_fissures": len(fissures)}
             for key, vol in zip(tests, _union_volumes(fissures)):
@@ -262,12 +262,12 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     lim_slip = slip_gamma * stats.mean_q2 * slip_coeff * area
     lim_total = lim_tan + lim_vert + lim_slip
 
+    draws = [_draw_paths(seed, trial, params_q, params_r, phase_bound)
+             for trial in range(n_realizations)]
     rows: list[dict] = []
     for eps in eps_values:
         geometry = GeometryParams(epsilon=eps, theta=theta, height=height)
-        for trial in range(n_realizations):
-            q, r, phases = _draw_paths(seed, trial, params_q, params_r,
-                                       phase_bound)
+        for trial, (q, r, phases) in enumerate(draws):
             fissures = enumerate_fissures(geometry, q, r, phases)
             sum_qbar, sum_qbar_rbar, sum_q0 = _energy_sums(fissures)
             e_tan = mu_fissure * height * eps * eps \

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fisshom._numerics import (gauss_legendre, hash_u64, positive_diagonal,
-                               solve_sparse, solve_spd)
+from fisshom._numerics import (gauss_legendre, positive_diagonal, solve_sparse,
+                               solve_spd)
 
 
 @pytest.mark.parametrize("order", [2, 6, 24])
@@ -44,26 +44,3 @@ def test_positive_diagonal_rejects_nan(value, message):
     # both checks compare with a bound, so NaN must fail them, not pass
     with pytest.raises(ValueError, match=message):
         positive_diagonal(value, 3, "k")
-
-
-@pytest.mark.parametrize("keys", [
-    (0,), (-1,), (-5, 3), (2**63,), (2**64 - 1, 7), (-2**63, 2**63 - 1),
-    (11, np.int64(-4), 9), (np.uint64(2**63), 1), (5, 101, np.arange(-3, 4)),
-], ids=["zero", "negative", "two", "2^63", "2^64-1", "int64_ends",
-        "numpy_int", "numpy_first", "array"])
-def test_hash_int_keys_match_the_array_path(keys):
-    # leading Python ints are folded without numpy; passing every key as
-    # an array sends the whole tuple through numpy
-    got = hash_u64(*keys)
-    ref = hash_u64(*(np.asarray(k) for k in keys))
-    assert type(got) is type(ref)
-    assert np.array_equal(got, ref)
-
-
-@pytest.mark.parametrize("keys", [(-2**63 - 1,), (2**64,), (True,),
-                                  (3, False)],
-                         ids=["below_int64", "2^64", "bool", "bool_later"])
-def test_hash_rejects_what_the_array_path_rejects(keys):
-    for form in (keys, tuple(np.asarray(k) for k in keys)):
-        with pytest.raises(TypeError, match="integers"):
-            hash_u64(*form)
