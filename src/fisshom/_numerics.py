@@ -120,6 +120,16 @@ def positive_diagonal(value, n: int, label: str) -> np.ndarray:
     return diag
 
 
+def check_interval(extent, label: str):
+    """Raise ValueError naming `label` unless `extent` is a finite
+    increasing pair (lo, hi)."""
+    lo, hi = extent
+    # written so that NaN fails: it compares False with any bound
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"{label} must be a finite increasing interval, "
+                         f"got {tuple(extent)}")
+
+
 def on_grid(fn, *axes) -> np.ndarray:
     """A callable of the coordinates, or a constant, on the tensor grid of
     the given axes."""
@@ -128,14 +138,22 @@ def on_grid(fn, *axes) -> np.ndarray:
     return np.full(tuple(len(a) for a in axes), float(fn))
 
 
+def axis_halves(axis: int, ndim: int):
+    """Index tuples of the lower and upper member of each pair of
+    neighbours along `axis` of an `ndim`-dimensional array, without
+    wrap-around."""
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 def axis_neighbours(index: np.ndarray, axis: int):
     """Flat (lower, upper) entries of `index` for each pair of neighbours
     along `axis`, without wrap-around."""
-    lo = [slice(None)] * index.ndim
-    hi = [slice(None)] * index.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return index[tuple(lo)].ravel(), index[tuple(hi)].ravel()
+    lo, hi = axis_halves(axis, index.ndim)
+    return index[lo].ravel(), index[hi].ravel()
 
 
 def two_point(rows, cols, vals, lo, hi, tau):

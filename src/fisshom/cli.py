@@ -5,8 +5,9 @@ two-bed filtration), transport (coupled contaminant exchange), fissure
 (resolved single-tube profile and census), ergodic (bracket estimates over
 growing horizons), sweep (convergence ladders).  Every stage writes
 deterministic files; reruns with the same config are byte-identical
-except for the manifest timestamp.  Exit codes: 0 success, 2 config error,
-3 solver failure or crash, 4 acceptance-check failure.
+except for the manifest timestamp.  Exit codes: 0 success, 2 config error
+(recorded in a manifest when `--out` names the directory), 3 solver failure
+or crash, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -460,6 +461,18 @@ def _ordered_stages(subcommand: str) -> list[str]:
     return [s for s in STAGES if s in wanted]
 
 
+def _write_manifest(outdir: str, config_sha256, subcommand: str, steps,
+                    files: dict):
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "config_sha256": config_sha256,
+        "package_version": __version__,
+        "created_unix": int(time.time()),
+        "subcommand": subcommand,
+        "steps": steps,
+        "files": files,
+    })
+
+
 def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         stream=None) -> int:
     """Execute one subcommand; returns the process exit code.
@@ -509,16 +522,9 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
             print(f"[{stage}] ok ({dt:.2f} s)", file=stream)
         else:
             print(f"[{stage}] {status.upper()}: {detail}", file=stream)
-    manifest = {
-        "config_sha256": cfg.config_hash(),
-        "package_version": __version__,
-        "created_unix": int(time.time()),
-        "subcommand": subcommand,
-        "steps": steps,
-        "files": {name: _sha256(os.path.join(outdir, name))
-                  for name in sorted(all_files)},
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_manifest(outdir, cfg.config_hash(), subcommand, steps,
+                    {name: _sha256(os.path.join(outdir, name))
+                     for name in sorted(all_files)})
     statuses = {s["status"] for s in steps}
     if statuses & {"solver_error", "crashed"}:
         return 3
@@ -571,6 +577,11 @@ def main(argv=None) -> int:
         cfg = parse_config(path=args.config, overrides=overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+            _write_manifest(args.out, None, args.subcommand,
+                            [{"name": "config", "status": "config_error",
+                              "detail": str(exc), "outputs": []}], {})
         return 2
     return run(cfg, args.subcommand, out_dir=args.out)
 

@@ -174,7 +174,9 @@ _SWEEP_TARGETS = ("measure", "energy", "profile", "exchange")
 
 
 def _section(data: dict, name: str, known: tuple[str, ...]) -> dict:
-    sec = data.get(name, {})
+    """The mapping at the dotted key path `name`, its last part a key of
+    `data`; raises ConfigError naming the path of an unknown key."""
+    sec = data.get(name.rsplit(".", 1)[-1], {})
     if sec is None:
         sec = {}
     if not isinstance(sec, dict):
@@ -253,12 +255,13 @@ def parse_config(path: str | None = None, text: str | None = None,
         raise ConfigError("run.output_dir: expected a nonempty string")
 
     process = _section(data, "process", ("aperture", "centerline"))
-    ap_sec = _section(process, "aperture",
+    ap_sec = _section(process, "process.aperture",
                       ("mean", "amplitudes", "frequencies_per_length",
                        "lower_bound", "upper_bound", "deriv_bound"))
-    ce_sec = _section(process, "centerline",
+    # build_path reads no range bounds for the centerline (|r| <= 1)
+    ce_sec = _section(process, "process.centerline",
                       ("mean", "amplitudes", "frequencies_per_length",
-                       "lower_bound", "upper_bound", "deriv_bound"))
+                       "deriv_bound"))
     aperture = _process(ap_sec, "process.aperture", "aperture_q",
                         {"mean": 0.5, "amplitudes": [0.08, 0.05],
                          "frequencies_per_length": [1.0, math.sqrt(2.0)],

@@ -32,12 +32,13 @@ them go to one sparse factorization with fill linear in the unknowns
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._numerics import (axis_neighbours, checked_residual, column_operator,
-                        coo_square, on_grid, positive_diagonal,
-                        solve_separable, two_point)
+from ._numerics import (axis_neighbours, check_interval, checked_residual,
+                        column_operator, coo_square, on_grid,
+                        positive_diagonal, solve_separable, two_point)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
 
@@ -68,6 +69,8 @@ class FlowConfig:
             # written so that NaN fails: it compares False with any bound
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        check_interval(self.x1_extent, "x1_extent")
+        check_interval(self.x2_extent, "x2_extent")
         n1, n2, nzp, nzm = self.shape
         if min(n1, n2) < 2 or min(nzp, nzm) < 3:
             raise ValueError("need at least 2 horizontal and 3 vertical "
@@ -231,28 +234,35 @@ class LimitFlowSolution:
     def flux_continuity_gap(self) -> float:
         """Reassemble the one-sided fluxes on both faces of the layer from
         the solved pressures and compare them with the transmission flux."""
-        cfg = self.config
-        bedp = _Bed(cfg, "plus", 0)
-        bedm = _Bed(cfg, "minus", 0)
-        gp = cfg.k_plus[2] / cfg.mu_plus * cfg.gravity_plus
-        gm = cfg.k_minus[2] / cfg.mu_minus * cfg.gravity_minus
-        kp = cfg.k_plus[2] / cfg.mu_plus
-        km = cfg.k_minus[2] / cfg.mu_minus
-        dzp, dzm = bedp.d3, bedm.d3
+        ts = _trace_system(self.config)
         grad_p = (9.0 * self.p_plus[:, :, 0] - self.p_plus[:, :, 1]
-                  - 8.0 * self.trace_plus) / (3.0 * dzp)
+                  - 8.0 * self.trace_plus) / (3.0 * ts.dzp)
         grad_m = -(9.0 * self.p_minus[:, :, -1] - self.p_minus[:, :, -2]
-                   - 8.0 * self.trace_minus) / (3.0 * dzm)
-        down_out_plus = kp * grad_p - gp
-        down_in_minus = km * grad_m - gm
+                   - 8.0 * self.trace_minus) / (3.0 * ts.dzm)
+        down_out_plus = ts.kp * grad_p - ts.g_p
+        down_in_minus = ts.km * grad_m - ts.g_m
         v = self.interface_flux
         return float(max(np.max(np.abs(down_out_plus - v)),
                          np.max(np.abs(down_in_minus - v))))
 
 
-def _trace_system(cfg: FlowConfig):
+class _TraceSystem(NamedTuple):
     """Closed-form elimination data for the per-column 2x2 trace solve."""
-    n1, n2, nzp, nzm = cfg.shape
+
+    kp: float       # vertical conductances k3 / mu at the layer
+    km: float
+    g_p: float      # gravity fluxes kp * gravity_plus, km * gravity_minus
+    g_m: float
+    dzp: float      # cell heights
+    dzm: float
+    gam_p: float    # kp / (3 dzp), km / (3 dzm)
+    gam_m: float
+    lam: float      # interface conductance
+    Minv: np.ndarray
+
+
+def _trace_system(cfg: FlowConfig) -> _TraceSystem:
+    _, _, nzp, nzm = cfg.shape
     kp = cfg.k_plus[2] / cfg.mu_plus
     km = cfg.k_minus[2] / cfg.mu_minus
     dzp = cfg.depth_plus / nzp
@@ -262,8 +272,8 @@ def _trace_system(cfg: FlowConfig):
     lam = cfg.coupling
     M = np.array([[-(8.0 * gam_p + lam), lam],
                   [-lam, 8.0 * gam_m + lam]])
-    Minv = np.linalg.inv(M)
-    return gam_p, gam_m, lam, Minv
+    return _TraceSystem(kp, km, kp * cfg.gravity_plus, km * cfg.gravity_minus,
+                        dzp, dzm, gam_p, gam_m, lam, np.linalg.inv(M))
 
 
 def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
@@ -284,27 +294,25 @@ def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
                                      .ravel() * bed.vol)
 
     # interface transmission: V = c1 r1 + c2 r2 per horizontal column
-    gam_p, gam_m, lam, Minv = _trace_system(cfg)
-    g_p = cfg.k_plus[2] / cfg.mu_plus * cfg.gravity_plus
-    g_m = cfg.k_minus[2] / cfg.mu_minus * cfg.gravity_minus
-    c1 = lam * (Minv[0, 0] - Minv[1, 0])
-    c2 = lam * (Minv[0, 1] - Minv[1, 1])
+    ts = _trace_system(cfg)
+    c1 = ts.lam * (ts.Minv[0, 0] - ts.Minv[1, 0])
+    c2 = ts.lam * (ts.Minv[0, 1] - ts.Minv[1, 1])
     area = bedp.face_area(2)
     cp0 = bedp.index[:, :, 0].ravel()
     cp1 = bedp.index[:, :, 1].ravel()
     cm0 = bedm.index[:, :, -1].ravel()
     cm1 = bedm.index[:, :, -2].ravel()
     # r1 = g_p - 9 gam_p p0+ + gam_p p1+ ; r2 = g_m + 9 gam_m p0- - gam_m p1-
-    stencil = ((cp0, area * c1 * -9.0 * gam_p),
-               (cp1, area * c1 * gam_p),
-               (cm0, area * c2 * 9.0 * gam_m),
-               (cm1, area * c2 * -gam_m))
+    stencil = ((cp0, area * c1 * -9.0 * ts.gam_p),
+               (cp1, area * c1 * ts.gam_p),
+               (cm0, area * c2 * 9.0 * ts.gam_m),
+               (cm1, area * c2 * -ts.gam_m))
     for target, sign in ((cp0, +1.0), (cm0, -1.0)):
         for src_cells, coef in stencil:
             rows.append(target)
             cols.append(src_cells)
             vals.append(np.full(target.size, sign * coef))
-        np.add.at(b, target, -sign * area * (c1 * g_p + c2 * g_m))
+        np.add.at(b, target, -sign * area * (c1 * ts.g_p + c2 * ts.g_m))
     return coo_square(rows, cols, vals, n_tot), b, bedp, bedm
 
 
@@ -356,14 +364,13 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
 def _solution(cfg: FlowConfig, p_plus, p_minus, residual: float,
               route: str) -> LimitFlowSolution:
     """Interface traces, fluxes and tube velocities of solved pressures."""
-    gam_p, gam_m, lam, Minv = _trace_system(cfg)
-    g_p = cfg.k_plus[2] / cfg.mu_plus * cfg.gravity_plus
-    g_m = cfg.k_minus[2] / cfg.mu_minus * cfg.gravity_minus
-    r1 = g_p - gam_p * (9.0 * p_plus[:, :, 0] - p_plus[:, :, 1])
-    r2 = g_m + gam_m * (9.0 * p_minus[:, :, -1] - p_minus[:, :, -2])
+    ts = _trace_system(cfg)
+    r1 = ts.g_p - ts.gam_p * (9.0 * p_plus[:, :, 0] - p_plus[:, :, 1])
+    r2 = ts.g_m + ts.gam_m * (9.0 * p_minus[:, :, -1] - p_minus[:, :, -2])
+    Minv = ts.Minv
     trace_plus = Minv[0, 0] * r1 + Minv[0, 1] * r2
     trace_minus = Minv[1, 0] * r1 + Minv[1, 1] * r2
-    V = lam * (trace_plus - trace_minus)
+    V = ts.lam * (trace_plus - trace_minus)
     tube = vertical_velocity(trace_plus, trace_minus, cfg.k0,
                              cfg.mu_fissure, cfg.height,
                              cfg.stats.mean_q2, cfg.stats.mean_inv_q2)

@@ -22,20 +22,22 @@ The interface rows carry half control volumes plus the surface and exchange
 terms, so the assembled matrix keeps the M-matrix sign pattern and the
 discrete solution inherits the max principle.
 
-Solve: the Dirichlet data move to the right-hand side through the
-assembled matrix, and the interior vertices are solved.  Without bed or
-surface velocities every coefficient is constant on the uniform horizontal
-grid, and an orthonormal sine transform of the interior decouples the
-system into one banded column system per horizontal mode
-(`_numerics.solve_separable`).  Any velocity makes the system
-non-separable.  Restarted GMRES then solves the interior system,
-preconditioned by the separable inverse of the same configuration without
-velocities (`_numerics.separable_inverse`): the fast direct solver of the
-separable part as the preconditioner of the whole (Concus & Golub 1973).
-Where GMRES does not converge within its fixed iteration cap, as at very
-high Peclet numbers, the whole Dirichlet-pinned 3-D system goes to SuperLU.
-Every route measures the residual on that pinned system, and the solution
-records which route ran and how many GMRES iterations it took.
+Solve: the matrix is assembled in two parts, each once per solve: the
+velocity-free system S (diffusion, reaction, exchange, surface spreading)
+and the upwind part U of the bed and surface velocities; A = S + U.  The
+Dirichlet data move to the right-hand side through A, and the interior
+vertices are solved.  Without velocities there is no U, every coefficient
+of S is constant on the uniform horizontal grid, and an orthonormal sine
+transform of the interior decouples the system into one banded column
+system per horizontal mode (`_numerics.solve_separable`).  Any velocity
+makes A non-separable.  Restarted GMRES then solves the interior system of
+A, preconditioned by the separable inverse of S
+(`_numerics.separable_inverse`): the fast direct solver of the separable
+part as the preconditioner of the whole (Concus & Golub 1973).  Where GMRES
+does not converge within its fixed iteration cap, as at very high Peclet
+numbers, the whole Dirichlet-pinned A goes to SuperLU.  Every route
+measures the residual on that pinned system, and the solution records
+which route ran and how many GMRES iterations it took.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.
@@ -43,13 +45,14 @@ also use them to carry manufactured solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ._numerics import (axis_neighbours, checked_residual, column_operator,
-                        coo_square, on_grid, pin_rows, positive_diagonal,
+from ._numerics import (axis_halves, axis_neighbours, check_interval,
+                        checked_residual, column_operator, coo_square,
+                        on_grid, pin_rows, positive_diagonal,
                         separable_inverse, solve_separable, solve_sparse,
                         two_point, upwind)
 from .fissure_transport import TransmissionCoeffs
@@ -100,6 +103,8 @@ class TransportConfig:
         if not (self.height > 0 and self.depth_plus > 0
                 and self.depth_minus > 0):
             raise ValueError("layer height and bed depths must be positive")
+        check_interval(self.x1_extent, "x1_extent")
+        check_interval(self.x2_extent, "x2_extent")
         n1, n2, nzp, nzm = self.shape
         if min(n1, n2) < 2 or min(nzp, nzm) < 2:
             raise ValueError("need at least 2 cells per direction")
@@ -144,20 +149,15 @@ def _cv_weights(axis_coords: np.ndarray) -> np.ndarray:
 class _BedMesh:
     def __init__(self, cfg: TransportConfig, side: str, offset: int):
         self.side = side
-        self.offset = offset
-        self.x1, self.x2, self.x3 = cfg.vertex_axes(side)
-        self.shape = (self.x1.size, self.x2.size, self.x3.size)
-        self.w1 = _cv_weights(self.x1)
-        self.w2 = _cv_weights(self.x2)
-        self.w3 = _cv_weights(self.x3)
-        self.index = offset + np.arange(np.prod(self.shape)).reshape(
-            self.shape)
+        self.axes = cfg.vertex_axes(side)
+        self.widths = tuple(_cv_weights(x) for x in self.axes)
+        self.shape = tuple(x.size for x in self.axes)
+        self.n = int(np.prod(self.shape))
+        self.index = offset + np.arange(self.n).reshape(self.shape)
         self.diff = cfg.diff_plus if side == "plus" else cfg.diff_minus
         self.reaction = (cfg.reaction_plus if side == "plus"
                          else cfg.reaction_minus)
         self.velocity = cfg.vel_plus if side == "plus" else cfg.vel_minus
-        self.n = int(np.prod(self.shape))
-        self.interface_k = 0 if side == "plus" else self.shape[2] - 1
 
     def boundary_mask(self) -> np.ndarray:
         """True on Dirichlet vertices: every outer face, so all boundary
@@ -171,116 +171,117 @@ class _BedMesh:
             m[:, :, 0] = True
         return m
 
+    def plane_area(self) -> np.ndarray:
+        """Horizontal control-volume area of each vertex column."""
+        return self.widths[0][:, None] * self.widths[1][None, :]
+
     def volumes(self) -> np.ndarray:
-        return (self.w1[:, None, None] * self.w2[None, :, None]
-                * self.w3[None, None, :])
+        return self.plane_area()[:, :, None] * self.widths[2][None, None, :]
+
+    def faces(self, axis: int, dims: int = 3):
+        """The faces between neighbouring vertices along `axis` of the bed
+        (dims 3), or the edges of its horizontal plane (dims 2): the axes
+        of their midpoint grid, their size (the product of the
+        control-volume widths across them) and the vertex spacing along
+        `axis`.  Size and spacing are shaped to broadcast over the faces."""
+        axes = self.axes[:dims]
+
+        def along(values, a):
+            return values.reshape([-1 if q == a else 1 for q in range(dims)])
+
+        mids = list(axes)
+        mids[axis] = 0.5 * (axes[axis][1:] + axes[axis][:-1])
+        size = 1.0
+        for a in range(dims):
+            if a != axis:
+                size = size * along(self.widths[a], a)
+        return mids, size, along(np.diff(axes[axis]), axis)
 
 
-def _face_grids(mesh: _BedMesh, axis: int):
-    axes = [mesh.x1, mesh.x2, mesh.x3]
-    mids = 0.5 * (axes[axis][1:] + axes[axis][:-1])
-    grids = list(axes)
-    grids[axis] = mids
-    return grids
-
-
-def _velocity(field, name: str, axis: int, grids) -> np.ndarray:
-    """Component `axis` of the velocity callable `field` on `grids`; raises
-    ValueError naming the field where it is not finite."""
-    v = np.asarray(field(*grids)[axis], dtype=float)
+def _velocity(field, name: str, axis: int, mids) -> np.ndarray:
+    """Component `axis` of the velocity callable `field` on the grid of the
+    axes `mids`; raises ValueError naming the field where it is not
+    finite."""
+    v = np.asarray(field(*np.meshgrid(*mids, indexing="ij"))[axis],
+                   dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     return v
 
 
 def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
-    idx = mesh.index
-    weights = [mesh.w1, mesh.w2, mesh.w3]
+    """Diffusion, reaction and volume sources of one bed."""
     for axis in range(3):
-        coords = [mesh.x1, mesh.x2, mesh.x3][axis]
-        d = np.diff(coords)
-        oth = [a for a in range(3) if a != axis]
-        area = np.ones([s - (1 if a == axis else 0)
-                        for a, s in enumerate(mesh.shape)])
-        for a in oth:
-            area = area * weights[a].reshape(
-                [mesh.shape[a] if q == a else 1 for q in range(3)])
-        d_face = d.reshape([d.size if q == axis else 1 for q in range(3)])
-        L, R = axis_neighbours(idx, axis)
-        two_point(rows, cols, vals, L, R,
-                  (mesh.diff[axis] * area / d_face).ravel())
-        if mesh.velocity is not None:
-            G = np.meshgrid(*_face_grids(mesh, axis), indexing="ij")
-            vcomp = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, G)
-            upwind(rows, cols, vals, L, R, (vcomp * area).ravel())
+        _, area, spacing = mesh.faces(axis)
+        two_point(rows, cols, vals, *axis_neighbours(mesh.index, axis),
+                  (mesh.diff[axis] * area / spacing).ravel())
     vol = mesh.volumes().ravel()
+    cells = mesh.index.ravel()
     if mesh.reaction != 0.0:
-        cells = idx.ravel()
         rows.append(cells)
         cols.append(cells)
         vals.append(mesh.reaction * vol)
     src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
     if src is not None:
-        s = on_grid(src, mesh.x1, mesh.x2, mesh.x3)
+        s = on_grid(src, *mesh.axes)
         factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
-        np.add.at(b, idx.ravel(), factor * s.ravel() * vol)
+        np.add.at(b, cells, factor * s.ravel() * vol)
 
 
 def _assemble_surface(cfg: TransportConfig, meshp: _BedMesh,
                       meshm: _BedMesh, rows, cols, vals, b,
                       surface_source=None, surface_source_minus=None):
-    """Interface-plane operators: exchange block, surface diffusion, and
-    surface advection; all scaled by the per-vertex horizontal area."""
-    plane_p = meshp.index[:, :, meshp.interface_k]
-    plane_m = meshm.index[:, :, meshm.interface_k]
-    w1, w2 = meshp.w1, meshp.w2
-    area = w1[:, None] * w2[None, :]
+    """Interface-plane terms without velocities: the exchange block and
+    surface diffusion, scaled by the per-vertex horizontal area, and the
+    surface sources."""
+    P = meshp.index[:, :, 0].ravel()
+    M = meshm.index[:, :, -1].ravel()
+    av = meshp.plane_area().ravel()
     ex = cfg.exchange
     c = ex.exchange_scale
     ch = ex.cosh_factor
     A = ex.advective_factor
-    P = plane_p.ravel()
-    M = plane_m.ravel()
-    av = area.ravel()
     # top flux leaves the upper bed, bottom flux enters the lower bed
     rows.extend((P, P, M, M))
     cols.extend((P, M, P, M))
     vals.extend((av * c * ch, av * (-c * A), av * (-c), av * (c * A * ch)))
-
-    scale = cfg.surface_scale
-    x1, x2 = meshp.x1, meshp.x2
     if cfg.surface_diffusion is not None:
-        ds = cfg.surface_diffusion
-        for axis, (coords, wgt) in enumerate(((x1, w2), (x2, w1))):
-            d = np.diff(coords)
-            if axis == 0:
-                length = wgt[None, :] * np.ones((d.size, 1))
-                d_face = d[:, None]
-            else:
-                length = wgt[:, None] * np.ones((1, d.size))
-                d_face = d[None, :]
-            two_point(rows, cols, vals, *axis_neighbours(plane_p, axis),
-                      (scale * ds[axis] * length / d_face).ravel())
+        for axis in range(2):
+            _, length, spacing = meshp.faces(axis, dims=2)
+            two_point(rows, cols, vals,
+                      *axis_neighbours(meshp.index[:, :, 0], axis),
+                      (cfg.surface_scale * cfg.surface_diffusion[axis]
+                       * length / spacing).ravel())
+    for src, plane in ((surface_source, P), (surface_source_minus, M)):
+        if src is not None:
+            np.add.at(b, plane, on_grid(src, *meshp.axes[:2]).ravel() * av)
+
+
+def _assemble_upwind(cfg: TransportConfig, meshp: _BedMesh,
+                     meshm: _BedMesh):
+    """U: the upwind advection of the bed and surface velocities; None
+    without velocities."""
+    rows: list = []
+    cols: list = []
+    vals: list = []
+    for mesh in (meshp, meshm):
+        if mesh.velocity is not None:
+            for axis in range(3):
+                mids, area, _ = mesh.faces(axis)
+                v = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, mids)
+                upwind(rows, cols, vals, *axis_neighbours(mesh.index, axis),
+                       (v * area).ravel())
     if cfg.surface_velocity is not None:
         for axis in range(2):
-            if axis == 0:
-                mids = 0.5 * (x1[1:] + x1[:-1])
-                G1, G2 = np.meshgrid(mids, x2, indexing="ij")
-                length = w2[None, :] * np.ones((mids.size, 1))
-            else:
-                mids = 0.5 * (x2[1:] + x2[:-1])
-                G1, G2 = np.meshgrid(x1, mids, indexing="ij")
-                length = w1[:, None] * np.ones((1, mids.size))
-            vcomp = _velocity(cfg.surface_velocity, "surface_velocity", axis,
-                              (G1, G2))
-            upwind(rows, cols, vals, *axis_neighbours(plane_p, axis),
-                   (scale * vcomp * length).ravel())
-    if surface_source is not None:
-        s = on_grid(surface_source, x1, x2)
-        np.add.at(b, P, s.ravel() * av)
-    if surface_source_minus is not None:
-        s = on_grid(surface_source_minus, x1, x2)
-        np.add.at(b, M, s.ravel() * av)
+            mids, length, _ = meshp.faces(axis, dims=2)
+            v = _velocity(cfg.surface_velocity, "surface_velocity", axis,
+                          mids)
+            upwind(rows, cols, vals,
+                   *axis_neighbours(meshp.index[:, :, 0], axis),
+                   (cfg.surface_scale * v * length).ravel())
+    if not rows:
+        return None
+    return coo_square(rows, cols, vals, meshp.n + meshm.n).tocsr()
 
 
 @dataclass
@@ -314,12 +315,15 @@ class TransportSolution:
 
 def _assemble_system(cfg: TransportConfig, surface_source,
                      surface_source_minus):
-    """The 3-D vertex system (A, b) of both beds before the Dirichlet rows,
-    the Dirichlet vertices `fixed` with their `data` (zero elsewhere), and
-    the two bed meshes."""
+    """The 3-D vertex system of both beds before the Dirichlet rows: the
+    velocity-free matrix S, the upwind matrix U (None without velocities)
+    and b, so that A = S + U; then the Dirichlet vertices `fixed` with
+    their `data` (zero elsewhere), and the two bed meshes."""
     meshp = _BedMesh(cfg, "plus", 0)
     meshm = _BedMesh(cfg, "minus", meshp.n)
     n_tot = meshp.n + meshm.n
+    # U first: its COO lists are freed before those of S are built
+    U = _assemble_upwind(cfg, meshp, meshm)
     rows: list = []
     cols: list = []
     vals: list = []
@@ -332,23 +336,23 @@ def _assemble_system(cfg: TransportConfig, surface_source,
     data = np.zeros(n_tot)
     for mesh, bc in ((meshp, cfg.bc_plus), (meshm, cfg.bc_minus)):
         mask = mesh.boundary_mask()
-        g = on_grid(bc, mesh.x1, mesh.x2, mesh.x3)
+        g = on_grid(bc, *mesh.axes)
         fixed[mesh.index[mask]] = True
         data[mesh.index[mask]] = g[mask]
-    return (coo_square(rows, cols, vals, n_tot).tocsr(), b, fixed, data,
+    return (coo_square(rows, cols, vals, n_tot).tocsr(), U, b, fixed, data,
             meshp, meshm)
 
 
-def _interior_modes(A, meshp: _BedMesh, meshm: _BedMesh):
+def _interior_modes(S, meshp: _BedMesh, meshm: _BedMesh):
     """The interior vertices as an (n1 - 1, n2 - 1, nz) index in the column
-    order of the separable solve, and the column operator (C, h1, h2) of a
-    velocity-free A on them."""
+    order of the separable solve, and the column operator (C, h1, h2) of
+    the velocity-free S on them."""
     # vertex columns without the outer Dirichlet planes, ordered
     # [minus bottom->top, plus bottom->top] so the column operator is
     # banded; the side Dirichlet ring stays in the index
     index = np.concatenate((meshm.index[:, :, 1:], meshp.index[:, :, :-1]),
                            axis=2)
-    return (index[1:-1, 1:-1],) + column_operator(A, index, "dst1")
+    return (index[1:-1, 1:-1],) + column_operator(S, index, "dst1")
 
 
 def _solve_krylov(A, rhs, inner, modes):
@@ -370,29 +374,27 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
                           surface_source_minus=None) -> TransportSolution:
     """Solve the coupled transport problem on its interior vertices, with
     the Dirichlet data moved to the right-hand side through the assembled
-    matrix.
+    matrix A = S + U.
 
-    Without velocities the beds are horizontally uniform and the interior
-    is solved mode by mode in a sine basis (`solve_separable`).  With any
-    velocity, restarted GMRES solves it, preconditioned by the separable
-    inverse of the same configuration without velocities; if GMRES does not
-    converge, the Dirichlet-pinned 3-D system goes to SuperLU.  Every route
-    measures the residual on that pinned system."""
-    A, b, fixed, data, meshp, meshm = _assemble_system(
+    Without velocities there is no U; the beds are horizontally uniform and
+    the interior is solved mode by mode in a sine basis
+    (`solve_separable`).  With any velocity, restarted GMRES solves it,
+    preconditioned by the separable inverse of S; if GMRES does not
+    converge, the Dirichlet-pinned A goes to SuperLU.  Every route measures
+    the residual on that pinned system."""
+    S, U, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
+    inner, *modes = _interior_modes(S, meshp, meshm)
+    separable = U is None
+    A = S if separable else S + U
+    del S, U  # only A is used below: free the parts before GMRES runs
     rhs = b - A @ data
     u = data.copy()
     iterations = 0
-    if (cfg.vel_plus is None and cfg.vel_minus is None
-            and cfg.surface_velocity is None):
+    if separable:
         route = "separable"
-        inner, *modes = _interior_modes(A, meshp, meshm)
         u[inner], _ = solve_separable(*modes, rhs[inner], "dst1")
     else:
-        still = replace(cfg, vel_plus=None, vel_minus=None,
-                        surface_velocity=None)
-        inner, *modes = _interior_modes(_assemble_system(still, None, None)[0],
-                                        meshp, meshm)
         x, iterations = _solve_krylov(A, rhs, inner, modes)
         route = "krylov" if x is not None else "splu"
         if x is not None:
@@ -408,6 +410,14 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
         residual=residual, route=route, iterations=iterations)
 
 
+def _divergence(r: np.ndarray, flux: np.ndarray, axis: int):
+    """Add to r the net outflow of the face fluxes `flux` between
+    neighbours along `axis`, positive towards the upper neighbour."""
+    lo, hi = axis_halves(axis, r.ndim)
+    r[lo] += flux
+    r[hi] -= flux
+
+
 def mass_balance_gap(sol: TransportSolution, surface_source=None,
                      surface_source_minus=None) -> float:
     """Re-walk the solved fields with array shifts (independently of the
@@ -421,59 +431,35 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
     umax = 1.0 + max(float(np.max(np.abs(sol.u_plus))),
                      float(np.max(np.abs(sol.u_minus))))
     scale = 0.0
-    worst = 0.0
-    fields = {"plus": sol.u_plus, "minus": sol.u_minus}
     resid = {}
-    for mesh in (meshp, meshm):
-        u = fields[mesh.side]
-        weights = [mesh.w1, mesh.w2, mesh.w3]
+    for mesh, u in ((meshp, sol.u_plus), (meshm, sol.u_minus)):
         r = np.zeros(mesh.shape)
         for axis in range(3):
-            coords = [mesh.x1, mesh.x2, mesh.x3][axis]
-            d = np.diff(coords)
-            oth = [a for a in range(3) if a != axis]
-            area = np.ones([s - (1 if a == axis else 0)
-                            for a, s in enumerate(mesh.shape)])
-            for a in oth:
-                area = area * weights[a].reshape(
-                    [mesh.shape[a] if q == a else 1 for q in range(3)])
-            d_face = d.reshape([d.size if q == axis else 1
-                                for q in range(3)])
-            du = np.diff(u, axis=axis)
-            flux = -mesh.diff[axis] * du / d_face * area
-            sl_lo = [slice(None)] * 3
-            sl_hi = [slice(None)] * 3
-            sl_lo[axis] = slice(0, -1)
-            sl_hi[axis] = slice(1, None)
-            r[tuple(sl_lo)] += flux
-            r[tuple(sl_hi)] -= flux
+            mids, area, spacing = mesh.faces(axis)
+            _divergence(r, -mesh.diff[axis] * np.diff(u, axis=axis)
+                        / spacing * area, axis)
             scale = max(scale,
-                        float(np.max(mesh.diff[axis] * area / d_face))
+                        float(np.max(mesh.diff[axis] * area / spacing))
                         * umax)
             if mesh.velocity is not None:
-                G = np.meshgrid(*_face_grids(mesh, axis), indexing="ij")
-                vcomp = np.asarray(mesh.velocity(*G)[axis], dtype=float)
-                lo = u[tuple(sl_lo)]
-                hi = u[tuple(sl_hi)]
-                up = np.where(vcomp > 0.0, lo, hi)
-                aflux = vcomp * area * up
-                r[tuple(sl_lo)] += aflux
-                r[tuple(sl_hi)] -= aflux
-                scale = max(scale,
-                            float(np.max(np.abs(vcomp) * area)) * umax)
+                v = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, mids)
+                lo, hi = axis_halves(axis, 3)
+                _divergence(r, v * area * np.where(v > 0.0, u[lo], u[hi]),
+                            axis)
+                scale = max(scale, float(np.max(np.abs(v) * area)) * umax)
         vol = mesh.volumes()
         if mesh.reaction != 0.0:
             r += mesh.reaction * vol * u
             scale = max(scale, mesh.reaction * float(np.max(vol)) * umax)
         src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
         if src is not None:
-            s = on_grid(src, mesh.x1, mesh.x2, mesh.x3)
+            s = on_grid(src, *mesh.axes)
             factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
             r -= factor * s * vol
             scale = max(scale, float(np.max(np.abs(s * vol))))
         resid[mesh.side] = r
 
-    area = meshp.w1[:, None] * meshp.w2[None, :]
+    area = meshp.plane_area()
     top, bottom = sol.exchange_fluxes()
     resid["plus"][:, :, 0] += area * top
     resid["minus"][:, :, -1] -= area * bottom
@@ -482,60 +468,33 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
                 * (1.0 + ex.advective_factor) * float(np.max(area)) * umax)
     tr = sol.trace_plus
     sscale = cfg.surface_scale
-    x1, x2 = meshp.x1, meshp.x2
+    rp = resid["plus"][:, :, 0]
     if cfg.surface_diffusion is not None:
-        ds = cfg.surface_diffusion
-        d1 = np.diff(x1)[:, None]
-        d2 = np.diff(x2)[None, :]
-        f1 = -sscale * ds[0] * np.diff(tr, axis=0) / d1 \
-            * meshp.w2[None, :]
-        f2 = -sscale * ds[1] * np.diff(tr, axis=1) / d2 \
-            * meshp.w1[:, None]
-        rp = resid["plus"][:, :, 0]
-        rp[:-1, :] += f1
-        rp[1:, :] -= f1
-        rp[:, :-1] += f2
-        rp[:, 1:] -= f2
-        scale = max(scale,
-                    float(np.max(sscale * ds[0] * meshp.w2[None, :] / d1))
-                    * umax,
-                    float(np.max(sscale * ds[1] * meshp.w1[:, None] / d2))
-                    * umax)
-    if cfg.surface_velocity is not None:
-        rp = resid["plus"][:, :, 0]
         for axis in range(2):
-            if axis == 0:
-                mids = 0.5 * (x1[1:] + x1[:-1])
-                G1, G2 = np.meshgrid(mids, x2, indexing="ij")
-                length = meshp.w2[None, :]
-                lo, hi = tr[:-1, :], tr[1:, :]
-            else:
-                mids = 0.5 * (x2[1:] + x2[:-1])
-                G1, G2 = np.meshgrid(x1, mids, indexing="ij")
-                length = meshp.w1[:, None]
-                lo, hi = tr[:, :-1], tr[:, 1:]
-            vcomp = np.asarray(cfg.surface_velocity(G1, G2)[axis],
-                               dtype=float)
-            up = np.where(vcomp > 0.0, lo, hi)
-            af = sscale * vcomp * length * up
-            if axis == 0:
-                rp[:-1, :] += af
-                rp[1:, :] -= af
-            else:
-                rp[:, :-1] += af
-                rp[:, 1:] -= af
+            _, length, spacing = meshp.faces(axis, dims=2)
+            ds = cfg.surface_diffusion[axis]
+            _divergence(rp, -sscale * ds * np.diff(tr, axis=axis) / spacing
+                        * length, axis)
             scale = max(scale,
-                        float(np.max(sscale * np.abs(vcomp) * length))
-                        * umax)
-    if surface_source is not None:
-        s = on_grid(surface_source, x1, x2)
-        resid["plus"][:, :, 0] -= s * area
-        scale = max(scale, float(np.max(np.abs(s * area))))
-    if surface_source_minus is not None:
-        s = on_grid(surface_source_minus, x1, x2)
-        resid["minus"][:, :, -1] -= s * area
-        scale = max(scale, float(np.max(np.abs(s * area))))
+                        float(np.max(sscale * ds * length / spacing)) * umax)
+    if cfg.surface_velocity is not None:
+        for axis in range(2):
+            mids, length, _ = meshp.faces(axis, dims=2)
+            v = _velocity(cfg.surface_velocity, "surface_velocity", axis,
+                          mids)
+            lo, hi = axis_halves(axis, 2)
+            _divergence(rp, sscale * v * length
+                        * np.where(v > 0.0, tr[lo], tr[hi]), axis)
+            scale = max(scale,
+                        float(np.max(sscale * np.abs(v) * length)) * umax)
+    for src, r in ((surface_source, rp),
+                   (surface_source_minus, resid["minus"][:, :, -1])):
+        if src is not None:
+            s = on_grid(src, *meshp.axes[:2])
+            r -= s * area
+            scale = max(scale, float(np.max(np.abs(s * area))))
 
+    worst = 0.0
     for mesh in (meshp, meshm):
         r = resid[mesh.side]
         r[mesh.boundary_mask()] = 0.0

@@ -250,9 +250,10 @@ def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
 
 def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
     """The coupled transport solve before the separable route: SuperLU on
-    the assembled 3-D system with its Dirichlet rows pinned."""
-    A, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
+    the assembled 3-D system A = S + U with its Dirichlet rows pinned."""
+    S, U, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
         cfg, surface_source, surface_source_minus)
+    A = S if U is None else S + U
     u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     return limit_transport.TransportSolution(
         config=cfg, u_plus=u[:meshp.n].reshape(meshp.shape),

@@ -94,6 +94,16 @@ def test_value_errors_carry_key_path():
         parse_config(text="transport:\n  surface_diffusion: [-0.2, 0.3]\n")
 
 
+def test_centerline_takes_no_range_bounds():
+    # build_path reads no range bounds for the centerline path
+    for key in ("lower_bound", "upper_bound"):
+        with pytest.raises(ConfigError,
+                           match=rf"process\.centerline\.{key}: unknown key"):
+            parse_config(text=f"process:\n  centerline:\n    {key}: 0.9\n")
+    cfg = parse_config(text="process:\n  centerline:\n    deriv_bound: 1.0\n")
+    assert cfg.centerline.deriv_bound == 1.0
+
+
 def test_yaml_syntax_error_carries_line():
     with pytest.raises(ConfigError, match="not valid YAML"):
         parse_config(text="geometry: [\n")
@@ -253,6 +263,20 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert "config error" in err
     assert "geometry.theta" in err
     assert main(["cell", "--config", str(tmp_path / "missing.yaml")]) == 2
+
+
+def test_main_config_error_writes_manifest(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("geometry: {theta: 0.9}\n")
+    out = tmp_path / "D"
+    assert main(["all", "--config", str(bad), "--out", str(out)]) == 2
+    assert "geometry.theta" in capsys.readouterr().err
+    man = json.loads((out / "manifest.json").read_text())
+    (step,) = man["steps"]
+    assert step["name"] == "config" and step["status"] == "config_error"
+    assert "geometry.theta" in step["detail"]
+    assert man["subcommand"] == "all" and man["files"] == {}
+    assert man["config_sha256"] is None
 
 
 def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):

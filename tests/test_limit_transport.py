@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from fisshom import limit_transport
 from fisshom._numerics import fit_loglog_slope
 from fisshom.fissure_transport import transmission_coeffs
+from fisshom.limit_flow import FlowConfig
 from fisshom.limit_transport import (
     TransportConfig,
     mass_balance_gap,
@@ -61,6 +63,24 @@ def test_config_validation():
                        ({"depth_minus": nan}, "positive")):
         with pytest.raises(ValueError, match=match):
             base_config(**bad)
+
+
+def _flow_config(**kw):
+    return FlowConfig(k_plus=1.0, k_minus=1.0, mu_plus=1.0, mu_minus=1.0,
+                      mu_fissure=0.02, k0=0.035, stats=STATS, **kw)
+
+
+@pytest.mark.parametrize("make", [base_config, _flow_config],
+                         ids=["transport", "flow"])
+@pytest.mark.parametrize("axis", ["x1_extent", "x2_extent"])
+@pytest.mark.parametrize("extent", [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan),
+                                    (math.nan, 1.0), (0.0, math.inf),
+                                    (-math.inf, 1.0)],
+                         ids=["reversed", "equal", "nan_hi", "nan_lo",
+                              "inf_hi", "inf_lo"])
+def test_bad_horizontal_extent_is_rejected(make, axis, extent):
+    with pytest.raises(ValueError, match=axis):
+        make(**{axis: extent})
 
 
 def test_uniform_state_is_exact():
@@ -353,6 +373,35 @@ def test_krylov_route_repeats_exactly():
     assert first.route == again.route == "krylov"
     assert np.array_equal(first.u_plus, again.u_plus)
     assert np.array_equal(first.u_minus, again.u_minus)
+
+
+def test_every_route_assembles_the_system_once(monkeypatch):
+    calls = []
+    original = limit_transport.two_point
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(limit_transport, "two_point", counting)
+    counts = {}
+    for fields in ({}, _varying_fields(), _varying_fields(scale=1e4)):
+        calls.clear()
+        sol = solve_limit_transport(_uniform_case(**fields),
+                                    *_surface_sources())
+        counts[sol.route] = len(calls)
+    assert set(counts) == {"separable", "krylov", "splu"}
+    assert len(set(counts.values())) == 1
+
+
+def test_velocity_free_part_ignores_the_velocities():
+    sources = _surface_sources()
+    S, U = limit_transport._assemble_system(
+        _uniform_case(**_varying_fields()), *sources)[:2]
+    S0, U0 = limit_transport._assemble_system(_uniform_case(), *sources)[:2]
+    assert U is not None and U0 is None
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(S, attr), getattr(S0, attr))
 
 
 def test_high_peclet_falls_back_to_splu():
