@@ -1,17 +1,26 @@
 """Shared low-level numerics: seeding, quadrature, finite-volume assembly,
-sparse solver wrappers, and the mode-by-mode solve of separable bed systems.
+sparse solver wrappers, and the separable bed operators.
 
 Everything here is deliberately boring.  Deterministic seeding uses
 splitmix64 so that per-index draws are stateless and identical across
 platforms and vectorization widths.  The assembly helpers append COO blocks
 to caller-owned `rows`, `cols`, `vals` lists; the order in which they emit
 entries fixes how duplicates are summed, so it is part of their contract.
+
+A bed operator on a horizontally uniform tensor grid, whose column axis
+stacks both beds, is described once by its 1-D factors (`TensorOperator`).
+Its matrix is their Kronecker sum, and the same factors give the column
+systems of the mode-by-mode solve (`solve_separable`: the fast
+diagonalization method of Lynch, Rice & Thomas 1964).  The tests keep the
+face-by-face COO assemblies of both bed matrices as the independent
+reference of the factors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -227,39 +236,75 @@ def solve_sparse(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # Horizontal bases of the separable solve: transform pair, transform type,
-# frequency of the first mode, and the diagonal of the 1-D second difference
-# at the first unknown.
+# and frequency of the first mode.
 #   dct2  cell centres, no-flow walls
 #   dst2  cell centres, Dirichlet walls (2 tau boundary faces)
 #   dst1  interior vertices, Dirichlet walls
-_BASES = {"dct2": (fft.dctn, fft.idctn, 2, 0, 1.0),
-          "dst2": (fft.dstn, fft.idstn, 2, 1, 3.0),
-          "dst1": (fft.dstn, fft.idstn, 1, 1, 2.0)}
+_BASES = {"dct2": (fft.dctn, fft.idctn, 2, 0),
+          "dst2": (fft.dstn, fft.idstn, 2, 1),
+          "dst1": (fft.dstn, fft.idstn, 1, 1)}
 
 
-def column_operator(A: sp.spmatrix, index: np.ndarray, basis: str):
-    """Read the separable structure off a matrix assembled on a horizontally
-    uniform (n1, n2, nz) tensor grid of flat unknown numbers `index`.
+def stiffness(conductance, ends=(0.0, 0.0)) -> np.ndarray:
+    """The dense 1-D two-point operator with face conductances
+    `conductance` between neighbours, plus the boundary conductances `ends`
+    on the first and last diagonal entry."""
+    t = np.asarray(conductance, dtype=float)
+    D = np.diff(np.eye(t.size + 1), axis=0)  # the face differences
+    K = D.T @ (t[:, None] * D)
+    K[[0, -1], [0, -1]] += ends
+    return K
 
-    Returns (C, h1, h2): the dense operator of one vertical column without
-    its horizontal part, and the per-layer coefficients of the horizontal
-    second differences along x1 and x2.  They are read at the first column
-    and its neighbours; for "dst1" `index` includes the Dirichlet ring, so
-    that column is index[1, 1].
-    """
-    corner = _BASES[basis][4]
-    o = 1 if basis == "dst1" else 0
-    col = index[o, o]
-    h1 = -np.asarray(A[col, index[1 - o, o]]).ravel()
-    h2 = -np.asarray(A[col, index[o, 1 - o]]).ravel()
-    C = A[col][:, col].toarray() - np.diag(corner * (h1 + h2))
-    return C, h1, h2
+
+class TensorOperator(NamedTuple):
+    """The 1-D factors of an operator on an (n1, n2, nz) tensor grid,
+
+        S = W1 (x) W2 (x) Cz + K1 (x) W2 (x) G1 + W1 (x) K2 (x) G2,
+
+    W the horizontal control-volume widths, K the 1-D horizontal stiffness
+    matrices, Cz the dense column operator per unit horizontal area, and G
+    the per-layer horizontal conductances."""
+
+    w1: np.ndarray
+    w2: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    cz: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+
+
+def kronecker_sum(op: TensorOperator) -> sp.csr_matrix:
+    """The sparse matrix S of `op`, unknowns numbered (i1, i2, k) in C
+    order.  Each term couples the unknowns along the axis of its one
+    non-diagonal factor, scaled by the two diagonals across that axis."""
+    shape = (op.w1.size, op.w2.size, op.cz.shape[0])
+    index = np.arange(np.prod(shape), dtype=np.int32).reshape(shape)
+    S = sp.csr_matrix((index.size,) * 2)
+    for axis, M, across in ((2, op.cz, np.multiply.outer(op.w1, op.w2)),
+                            (0, op.k1, np.multiply.outer(op.w2, op.g1)),
+                            (1, op.k2, np.multiply.outer(op.w1, op.g2))):
+        r, c = np.nonzero(M)
+        along = np.moveaxis(index, axis, 0)
+        S = S + sp.csr_matrix((np.multiply.outer(M[r, c], across).ravel(),
+                               (along[r].ravel(), along[c].ravel())),
+                              shape=S.shape)
+    return S
+
+
+def separable_factors(op: TensorOperator, layers=slice(None)):
+    """The (C, h1, h2) of `solve_separable` for the column `layers` of `op`
+    on a uniform horizontal grid, whose interior has W = d I and K = L / d
+    with d = w[1]: C = d1 d2 Cz, h1 = (d2 / d1) G1, h2 = (d1 / d2) G2."""
+    d1, d2 = op.w1[1], op.w2[1]
+    return (d1 * d2 * op.cz[layers, layers], d2 / d1 * op.g1[layers],
+            d1 / d2 * op.g2[layers])
 
 
 def mode_eigenvalues(m: int, basis: str) -> np.ndarray:
     """mu_k = 2 - 2 cos(pi k / n) of the 1-D second difference on m
     unknowns that `basis` diagonalizes, in transform order."""
-    _, _, kind, first, _ = _BASES[basis]
+    _, _, kind, first = _BASES[basis]
     k = np.arange(m) + first
     return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
 
@@ -289,7 +334,7 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
 
     Returns (x, residual of the mode system).
     """
-    forward, inverse, kind, _, _ = _BASES[basis]
+    forward, inverse, kind, _ = _BASES[basis]
     m1, m2, _ = rhs.shape
     M = _mode_matrix(C, h1, h2, m1, m2, basis)
     rhs_hat = forward(rhs, type=kind, axes=(0, 1), norm="ortho").ravel()
@@ -310,7 +355,7 @@ def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     matrix is factored once; each call transforms, back-substitutes and
     transforms back, so it serves as an iterative solver's preconditioner.
     """
-    forward, inverse, kind, _, _ = _BASES[basis]
+    forward, inverse, kind, _ = _BASES[basis]
     lu = spla.splu(_mode_matrix(C, h1, h2, shape[0], shape[1], basis).tocsc())
 
     def apply(r: np.ndarray) -> np.ndarray:

@@ -53,8 +53,11 @@ class ObstacleSpec:
     def __post_init__(self):
         if self.kind not in ("box", "ball"):
             raise ValueError("obstacle kind must be 'box' or 'ball'")
-        if any(s <= 0 for s in self.size):
+        # written so that NaN fails: it compares False with any bound
+        if not all(s > 0 for s in self.size):
             raise ValueError("obstacle size entries must be positive")
+        if self.kind == "ball" and len(self.size) != 1:
+            raise ValueError("a ball obstacle takes one size, its radius")
 
     def contains(self, centers: np.ndarray) -> np.ndarray:
         # centers shape (..., d)
@@ -337,7 +340,7 @@ def solve_poisson_cell(n: int = 256) -> TorsionCell:
     m = n - 1
     T = sp.diags([2.0, -1.0, -1.0], [0, 1, -1], shape=(m, m))
     A = (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)) / h**2
-    forward, inverse, kind, _, _ = _BASES["dst1"]
+    forward, inverse, kind, _ = _BASES["dst1"]
     mu = mode_eigenvalues(m, "dst1")
     b = np.ones((m, m))
     lam = (mu[:, None] + mu[None, :]) / h**2

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import gauss_legendre, panel_quadrature
+from ._numerics import check_interval, gauss_legendre, panel_quadrature
 from .stochastic import PhaseSequence, StationaryPath
 
 
@@ -49,9 +49,8 @@ class GeometryParams:
                 f"theta must be in (0, 2/3), got {self.theta}")
         if not self.height > 0.0:
             raise ValueError("height must be positive")
-        for ext in (self.x1_extent, self.x2_extent):
-            if not ext[1] > ext[0]:
-                raise ValueError("extents must be increasing intervals")
+        check_interval(self.x1_extent, "x1_extent")
+        check_interval(self.x2_extent, "x2_extent")
 
     def stretched_depth(self, x3):
         """Path argument s = -x3 * eps^(-theta) for x3 in (-height, 0)."""

@@ -18,15 +18,16 @@ face traces are reconstructed one-sidedly to second order from the two cells
 nearest the interface, the 2x2 trace system is solved in closed form, and the
 resulting flux expression couples the two beds four cells at a time.
 
-Solve: every bed has a constant diagonal permeability on a uniform
-horizontal grid, so the assembled 3-D system is a tensor product of one
-vertical column operator (both beds stacked, interface cells adjacent) with
-horizontal second differences.  An orthonormal cosine transform (no-flow side
-walls) or sine transform (Dirichlet side walls) of the right-hand side
-decouples it into one banded column system per horizontal mode, and all of
-them go to one sparse factorization with fill linear in the unknowns
-(`_numerics.solve_separable`).  The residual is measured on the assembled
-3-D system.
+Solve: the beds share one tensor grid whose column axis is stacked [minus
+bottom->top, plus bottom->top], interface cells adjacent.  Every bed has a
+constant diagonal permeability on a uniform horizontal grid, so the operator
+is a Kronecker sum of 1-D factors (`_numerics.TensorOperator`) whose column
+operator carries the vertical fluxes, the Dirichlet ends and the interface
+stencil.  The same factors give one banded column system per horizontal
+mode of an orthonormal cosine (no-flow side walls) or sine (Dirichlet side
+walls) transform, all factored at once with fill linear in the unknowns
+(`_numerics.solve_separable`).  The residual is measured on the matrix; the
+tests keep its face-by-face assembly as the independent reference.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from ._numerics import (axis_neighbours, check_interval, checked_residual,
-                        column_operator, coo_square, on_grid,
-                        positive_diagonal, solve_separable, two_point)
+from ._numerics import (TensorOperator, check_interval, checked_residual,
+                        kronecker_sum, on_grid, positive_diagonal,
+                        separable_factors, solve_separable, stiffness)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
 
@@ -130,13 +132,15 @@ class FlowBC:
 
 
 class _Bed:
-    """Assembly bookkeeping for one bed on a (n1, n2, nz) tensor grid with
-    k increasing upward."""
+    """Bookkeeping for one bed: its (n1, n2, nz) cells, k increasing upward,
+    are the `layers` of the column stacked [minus bottom->top, plus
+    bottom->top] on the common tensor grid."""
 
-    def __init__(self, cfg: FlowConfig, side: str, offset: int):
+    def __init__(self, cfg: FlowConfig, side: str):
         self.side = side
-        self.offset = offset
         n1, n2, nzp, nzm = cfg.shape
+        self.layers = (slice(nzm, nzm + nzp) if side == "plus"
+                       else slice(0, nzm))
         self.shape = (n1, n2, nzp if side == "plus" else nzm)
         self.kappa = (cfg.k_plus / cfg.mu_plus if side == "plus"
                       else cfg.k_minus / cfg.mu_minus)
@@ -150,72 +154,44 @@ class _Bed:
         self.x3c = cfg.vertical_centers(side)
         self.gravity = (cfg.gravity_plus if side == "plus"
                         else cfg.gravity_minus)
-        self.n_cells = n1 * n2 * self.shape[2]
-        self.index = offset + np.arange(self.n_cells).reshape(self.shape)
 
     def face_area(self, axis: int) -> float:
         return self.vol / self.deltas[axis]
 
 
-def _assemble_bed(bed: _Bed, bc: FlowBC, rows, cols, vals, b):
-    """Interior two-point fluxes, outer boundary terms, and gravity."""
+def _bed_rhs(bed: _Bed, bc: FlowBC, b: np.ndarray):
+    """Add gravity and the outer boundary data of one bed to its cells `b`
+    of the right-hand side."""
     kap = bed.kappa
-    n1, n2, nz = bed.shape
-    idx = bed.index
-    for axis in range(3):
-        tau = kap[axis] * bed.face_area(axis) / bed.deltas[axis]
-        two_point(rows, cols, vals, *axis_neighbours(idx, axis), tau)
+    fg = kap[2] * bed.gravity * bed.face_area(2)
     # gravity on interior vertical faces telescopes to the column ends
     if bed.gravity != 0.0:
-        fg = kap[2] * bed.gravity * bed.face_area(2)
-        lower = bed.index[:, :, :-1].ravel()
-        upper = bed.index[:, :, 1:].ravel()
-        np.add.at(b, lower, -fg)
-        np.add.at(b, upper, +fg)
-
-    def dirichlet_face(cells, axis, outward, data):
-        tau_b = 2.0 * kap[axis] * bed.face_area(axis) / bed.deltas[axis]
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(np.full(cells.size, tau_b))
-        np.add.at(b, cells, tau_b * data.ravel())
-        if axis == 2 and bed.gravity != 0.0:
-            fg = kap[2] * bed.gravity * bed.face_area(2) * outward
-            np.add.at(b, cells, -fg)
-
-    top_face_x3 = bed.x3c[-1] + 0.5 * bed.d3
-    bottom_face_x3 = bed.x3c[0] - 0.5 * bed.d3
+        b[:, :, :-1] -= fg
+        b[:, :, 1:] += fg
+    if bc.kind == "closed":
+        return
+    x1c, x2c, x3c = bed.x1c, bed.x2c, bed.x3c
+    plus = bed.side == "plus"
+    end = -1 if plus else 0
     if bc.kind == "pressure_ends":
-        if bed.side == "plus":
-            data = on_grid(bc.p_top, bed.x1c, bed.x2c)
-            dirichlet_face(idx[:, :, -1].ravel(), 2, +1.0, data)
-        else:
-            data = on_grid(bc.p_bottom, bed.x1c, bed.x2c)
-            dirichlet_face(idx[:, :, 0].ravel(), 2, -1.0, data)
-    elif bc.kind == "dirichlet":
-        p_bc = bc.p_plus if bed.side == "plus" else bc.p_minus
-        if bed.side == "plus":
-            dirichlet_face(idx[:, :, -1].ravel(), 2, +1.0,
-                           on_grid(p_bc, bed.x1c, bed.x2c,
-                                   np.array([top_face_x3]))[:, :, 0])
-        else:
-            dirichlet_face(idx[:, :, 0].ravel(), 2, -1.0,
-                           on_grid(p_bc, bed.x1c, bed.x2c,
-                                   np.array([bottom_face_x3]))[:, :, 0])
-        lo1, hi1 = bed.x1c[0] - 0.5 * bed.d1, bed.x1c[-1] + 0.5 * bed.d1
-        lo2, hi2 = bed.x2c[0] - 0.5 * bed.d2, bed.x2c[-1] + 0.5 * bed.d2
-        dirichlet_face(idx[0, :, :].ravel(), 0, -1.0,
-                       on_grid(p_bc, np.array([lo1]), bed.x2c,
-                               bed.x3c)[0])
-        dirichlet_face(idx[-1, :, :].ravel(), 0, +1.0,
-                       on_grid(p_bc, np.array([hi1]), bed.x2c,
-                               bed.x3c)[0])
-        dirichlet_face(idx[:, 0, :].ravel(), 1, -1.0,
-                       on_grid(p_bc, bed.x1c, np.array([lo2]),
-                               bed.x3c)[:, 0, :])
-        dirichlet_face(idx[:, -1, :].ravel(), 1, +1.0,
-                       on_grid(p_bc, bed.x1c, np.array([hi2]),
-                               bed.x3c)[:, 0, :])
+        ends = on_grid(bc.p_top if plus else bc.p_bottom, x1c, x2c)
+    else:
+        p_bc = bc.p_plus if plus else bc.p_minus
+        x3 = x3c[end] + (0.5 if plus else -0.5) * bed.d3
+        ends = on_grid(p_bc, x1c, x2c, [x3])[:, :, 0]
+    faces = [(np.s_[:, :, end], 2, ends)]
+    if bc.kind == "dirichlet":
+        lo1, hi1 = x1c[0] - 0.5 * bed.d1, x1c[-1] + 0.5 * bed.d1
+        lo2, hi2 = x2c[0] - 0.5 * bed.d2, x2c[-1] + 0.5 * bed.d2
+        faces += [(np.s_[0], 0, on_grid(p_bc, [lo1], x2c, x3c)[0]),
+                  (np.s_[-1], 0, on_grid(p_bc, [hi1], x2c, x3c)[0]),
+                  (np.s_[:, 0], 1, on_grid(p_bc, x1c, [lo2], x3c)[:, 0]),
+                  (np.s_[:, -1], 1, on_grid(p_bc, x1c, [hi2], x3c)[:, 0])]
+    for cells, axis, data in faces:
+        tau_b = 2.0 * kap[axis] * bed.face_area(axis) / bed.deltas[axis]
+        b[cells] += tau_b * data
+        if axis == 2 and bed.gravity != 0.0:
+            b[cells] -= fg * (1.0 if plus else -1.0)
 
 
 @dataclass
@@ -278,42 +254,48 @@ def _trace_system(cfg: FlowConfig) -> _TraceSystem:
 
 def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
                      source_minus):
-    """The 3-D cell-centred system (A, b) of both beds, before any gauge,
-    with the two beds' bookkeeping."""
-    bedp = _Bed(cfg, "plus", 0)
-    bedm = _Bed(cfg, "minus", bedp.n_cells)
-    n_tot = bedp.n_cells + bedm.n_cells
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    b = np.zeros(n_tot)
-    for bed, src in ((bedp, source_plus), (bedm, source_minus)):
-        _assemble_bed(bed, bc, rows, cols, vals, b)
+    """The 1-D factors of the operator of both beds on the stacked grid,
+    before any gauge, its right-hand side b on that grid, and the two beds'
+    bookkeeping.  Faces carry two-point fluxes; outer faces are no-flow, or
+    carry the 2 tau boundary face of a ghost Dirichlet value."""
+    bedp = _Bed(cfg, "plus")
+    bedm = _Bed(cfg, "minus")
+    n1, n2, nzp, nzm = cfg.shape
+    b = np.zeros((n1, n2, nzp + nzm))
+    blocks, g = [], []
+    for bed, src in ((bedm, source_minus), (bedp, source_plus)):
+        _bed_rhs(bed, bc, b[:, :, bed.layers])
         if src is not None:
-            b[bed.index.ravel()] += (on_grid(src, bed.x1c, bed.x2c, bed.x3c)
-                                     .ravel() * bed.vol)
-
-    # interface transmission: V = c1 r1 + c2 r2 per horizontal column
+            b[:, :, bed.layers] += (on_grid(src, bed.x1c, bed.x2c, bed.x3c)
+                                    * bed.vol)
+        nz = bed.shape[2]
+        kz = bed.kappa[2] / bed.d3
+        outer = 0.0 if bc.kind == "closed" else 2.0 * kz
+        blocks.append(stiffness(np.full(nz - 1, kz),
+                                (outer, 0.0) if bed.side == "minus"
+                                else (0.0, outer)))
+        g.append(np.multiply.outer(bed.kappa[:2] * bed.d3, np.ones(nz)))
+    cz = block_diag(*blocks)
+    # interface transmission V = c1 r1 + c2 r2 per unit area, with
+    # r1 = g_p - 9 gam_p p0+ + gam_p p1+ ; r2 = g_m + 9 gam_m p0- - gam_m p1-
     ts = _trace_system(cfg)
     c1 = ts.lam * (ts.Minv[0, 0] - ts.Minv[1, 0])
     c2 = ts.lam * (ts.Minv[0, 1] - ts.Minv[1, 1])
-    area = bedp.face_area(2)
-    cp0 = bedp.index[:, :, 0].ravel()
-    cp1 = bedp.index[:, :, 1].ravel()
-    cm0 = bedm.index[:, :, -1].ravel()
-    cm1 = bedm.index[:, :, -2].ravel()
-    # r1 = g_p - 9 gam_p p0+ + gam_p p1+ ; r2 = g_m + 9 gam_m p0- - gam_m p1-
-    stencil = ((cp0, area * c1 * -9.0 * ts.gam_p),
-               (cp1, area * c1 * ts.gam_p),
-               (cm0, area * c2 * 9.0 * ts.gam_m),
-               (cm1, area * c2 * -ts.gam_m))
-    for target, sign in ((cp0, +1.0), (cm0, -1.0)):
-        for src_cells, coef in stencil:
-            rows.append(target)
-            cols.append(src_cells)
-            vals.append(np.full(target.size, sign * coef))
-        np.add.at(b, target, -sign * area * (c1 * ts.g_p + c2 * ts.g_m))
-    return coo_square(rows, cols, vals, n_tot), b, bedp, bedm
+    p0, m0 = nzm, nzm - 1
+    stencil = ((p0, c1 * -9.0 * ts.gam_p), (p0 + 1, c1 * ts.gam_p),
+               (m0, c2 * 9.0 * ts.gam_m), (m0 - 1, c2 * -ts.gam_m))
+    vg = bedp.face_area(2) * (c1 * ts.g_p + c2 * ts.g_m)  # gravity part
+    for target, sign in ((p0, +1.0), (m0, -1.0)):
+        for col, coef in stencil:
+            cz[target, col] += sign * coef
+        b[:, :, target] -= sign * vg
+    d1, d2 = bedp.d1, bedp.d2
+    end = 2.0 if bc.kind == "dirichlet" else 0.0
+    op = TensorOperator(np.full(n1, d1), np.full(n2, d2),
+                        stiffness(np.full(n1 - 1, 1.0 / d1), (end / d1,) * 2),
+                        stiffness(np.full(n2 - 1, 1.0 / d2), (end / d2,) * 2),
+                        cz, *np.concatenate(g, axis=1))
+    return op, b, bedp, bedm
 
 
 def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
@@ -324,41 +306,33 @@ def solve_limit_flow(cfg: FlowConfig, bc: FlowBC | None = None,
 
     The beds are horizontally uniform, so the solve runs mode by mode
     (`solve_separable`): a cosine basis for no-flow side walls, a sine basis
-    for Dirichlet ones.  The residual is measured on the assembled 3-D
-    system."""
+    for Dirichlet ones.  The residual is measured on the Kronecker-sum
+    matrix of the operator."""
     if bc is None:
         bc = FlowBC()
-    coo, b, bedp, bedm = _assemble_system(cfg, bc, source_plus, source_minus)
-    A = coo.tocsr()
-    # columns ordered [minus bottom->top, plus bottom->top], so the coupled
-    # interface cells are neighbours and the column operator is banded
-    index = np.concatenate((bedm.index, bedp.index), axis=2)
-    basis = "dst2" if bc.kind == "dirichlet" else "dct2"
-    C, h1, h2 = column_operator(A, index, basis)
+    op, b, bedp, bedm = _assemble_system(cfg, bc, source_plus, source_minus)
+    A = kronecker_sum(op)
     if bc.kind == "closed":
-        scale = float(np.max(np.abs(b)) + np.max(np.abs(coo.data)))
+        scale = float(np.max(np.abs(b)) + np.max(np.abs(A.data)))
         if not abs(b.sum()) <= 1e-10 * (scale + 1.0):
             raise ValueError("net source must vanish for closed boundaries")
     # for closed boundaries the constant null space lives in mode (0, 0)
     # alone: one of its rows takes the gauge, every other row the unpinned,
     # compatible right-hand side
-    p = np.empty(b.size)
-    p[index], _ = solve_separable(C, h1, h2, b[index], basis,
-                                  pin=0 if bc.kind == "closed" else None)
+    basis = "dst2" if bc.kind == "dirichlet" else "dct2"
+    p, _ = solve_separable(*separable_factors(op), b, basis,
+                           pin=0 if bc.kind == "closed" else None)
     gauge = None
     if bc.kind == "closed":
-        # the gauge of the assembled system, p = 0 in the first cell
-        p -= p[0]
+        # the gauge of the matrix, p = 0 in the first cell
+        p -= p[0, 0, 0]
         gauge = np.zeros(b.size, dtype=bool)
         gauge[0] = True
-    residual = checked_residual(A, p, b, gauge)
-    p_plus = p[:bedp.n_cells].reshape(bedp.shape)
-    p_minus = p[bedp.n_cells:].reshape(bedm.shape)
+    residual = checked_residual(A, p.ravel(), b.ravel(), gauge)
     if bc.kind == "closed":
-        shift = float(p_plus.mean())
-        p_plus = p_plus - shift
-        p_minus = p_minus - shift
-    return _solution(cfg, p_plus, p_minus, residual, "separable")
+        p -= p[:, :, bedp.layers].mean()  # then mean(p_plus) = 0
+    return _solution(cfg, p[:, :, bedp.layers], p[:, :, bedm.layers],
+                     residual, "separable")
 
 
 def _solution(cfg: FlowConfig, p_plus, p_minus, residual: float,

@@ -22,22 +22,25 @@ The interface rows carry half control volumes plus the surface and exchange
 terms, so the assembled matrix keeps the M-matrix sign pattern and the
 discrete solution inherits the max principle.
 
-Solve: the matrix is assembled in two parts, each once per solve: the
-velocity-free system S (diffusion, reaction, exchange, surface spreading)
-and the upwind part U of the bed and surface velocities; A = S + U.  The
-Dirichlet data move to the right-hand side through A, and the interior
-vertices are solved.  Without velocities there is no U, every coefficient
-of S is constant on the uniform horizontal grid, and an orthonormal sine
-transform of the interior decouples the system into one banded column
-system per horizontal mode (`_numerics.solve_separable`).  Any velocity
-makes A non-separable.  Restarted GMRES then solves the interior system of
-A, preconditioned by the separable inverse of S
-(`_numerics.separable_inverse`): the fast direct solver of the separable
-part as the preconditioner of the whole (Concus & Golub 1973).  Where GMRES
-does not converge within its fixed iteration cap, as at very high Peclet
-numbers, the whole Dirichlet-pinned A goes to SuperLU.  Every route
-measures the residual on that pinned system, and the solution records
-which route ran and how many GMRES iterations it took.
+Solve: the beds share one tensor grid whose column axis is stacked [minus
+bottom->top, plus bottom->top], interface vertices adjacent.  The matrix
+has two parts, each built once per solve: the velocity-free S (diffusion,
+reaction, exchange, surface spreading) and the upwind part U of the bed and
+surface velocities; A = S + U.  S is the Kronecker sum of 1-D factors
+(`_numerics.TensorOperator`); U stays a face-by-face assembly, since the
+velocities vary in space.  The Dirichlet data move to the right-hand side
+through A, and the interior vertices are solved.  Without velocities there
+is no U, and the interior factors of S give one banded column system per
+horizontal mode of an orthonormal sine transform
+(`_numerics.solve_separable`).  Any velocity makes A non-separable.
+Restarted GMRES then solves the interior system of A, preconditioned by the
+separable inverse of S (`_numerics.separable_inverse`): the fast direct
+solver of the separable part as the preconditioner of the whole (Concus &
+Golub 1973).  Where GMRES does not converge within its fixed iteration cap,
+as at very high Peclet numbers, the whole Dirichlet-pinned A goes to
+SuperLU.  Every route measures the residual on that pinned system, and the
+solution records which route ran and how many GMRES iterations it took.
+The tests keep the face-by-face assembly of S as its independent reference.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.
@@ -49,12 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import block_diag
 
-from ._numerics import (axis_halves, axis_neighbours, check_interval,
-                        checked_residual, column_operator, coo_square,
-                        on_grid, pin_rows, positive_diagonal,
-                        separable_inverse, solve_separable, solve_sparse,
-                        two_point, upwind)
+from ._numerics import (TensorOperator, axis_halves, axis_neighbours,
+                        check_interval, checked_residual, coo_square,
+                        kronecker_sum, on_grid, pin_rows, positive_diagonal,
+                        separable_factors, separable_inverse, solve_separable,
+                        solve_sparse, stiffness, upwind)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
 
@@ -138,22 +142,26 @@ class TransportConfig:
 
 
 def _cv_weights(axis_coords: np.ndarray) -> np.ndarray:
+    """Vertex control-volume widths: half of each neighbouring interval."""
     d = np.diff(axis_coords)
-    w = np.empty(axis_coords.size)
-    w[0] = 0.5 * d[0]
-    w[-1] = 0.5 * d[-1]
-    w[1:-1] = 0.5 * (d[:-1] + d[1:])
-    return w
+    return 0.5 * (np.r_[0.0, d] + np.r_[d, 0.0])
 
 
 class _BedMesh:
-    def __init__(self, cfg: TransportConfig, side: str, offset: int):
+    """The vertices of one bed, k increasing upward: the `layers` of the
+    column stacked [minus bottom->top, plus bottom->top] on the common
+    tensor grid, numbered by `index`."""
+
+    def __init__(self, cfg: TransportConfig, side: str):
         self.side = side
         self.axes = cfg.vertex_axes(side)
         self.widths = tuple(_cv_weights(x) for x in self.axes)
         self.shape = tuple(x.size for x in self.axes)
-        self.n = int(np.prod(self.shape))
-        self.index = offset + np.arange(self.n).reshape(self.shape)
+        n1, n2, nzp, nzm = cfg.shape
+        self.layers = (slice(nzm + 1, nzm + nzp + 2) if side == "plus"
+                       else slice(0, nzm + 1))
+        grid = (n1 + 1, n2 + 1, nzp + nzm + 2)
+        self.index = np.arange(np.prod(grid)).reshape(grid)[:, :, self.layers]
         self.diff = cfg.diff_plus if side == "plus" else cfg.diff_minus
         self.reaction = (cfg.reaction_plus if side == "plus"
                          else cfg.reaction_minus)
@@ -209,52 +217,33 @@ def _velocity(field, name: str, axis: int, mids) -> np.ndarray:
     return v
 
 
-def _assemble_bed(cfg: TransportConfig, mesh: _BedMesh, rows, cols, vals, b):
-    """Diffusion, reaction and volume sources of one bed."""
-    for axis in range(3):
-        _, area, spacing = mesh.faces(axis)
-        two_point(rows, cols, vals, *axis_neighbours(mesh.index, axis),
-                  (mesh.diff[axis] * area / spacing).ravel())
-    vol = mesh.volumes().ravel()
-    cells = mesh.index.ravel()
-    if mesh.reaction != 0.0:
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(mesh.reaction * vol)
-    src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
-    if src is not None:
-        s = on_grid(src, *mesh.axes)
-        factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
-        np.add.at(b, cells, factor * s.ravel() * vol)
-
-
-def _assemble_surface(cfg: TransportConfig, meshp: _BedMesh,
-                      meshm: _BedMesh, rows, cols, vals, b,
-                      surface_source=None, surface_source_minus=None):
-    """Interface-plane terms without velocities: the exchange block and
-    surface diffusion, scaled by the per-vertex horizontal area, and the
-    surface sources."""
-    P = meshp.index[:, :, 0].ravel()
-    M = meshm.index[:, :, -1].ravel()
-    av = meshp.plane_area().ravel()
+def _operator(cfg: TransportConfig, meshp: _BedMesh,
+              meshm: _BedMesh) -> TensorOperator:
+    """The 1-D factors of the velocity-free matrix S on the stacked column:
+    two-point diffusion and reaction in each bed, the exchange block
+    between the two interface vertices, and surface spreading in the
+    horizontal conductances of the upper one."""
+    blocks, g = [], []
+    for mesh in (meshm, meshp):
+        x3, w3 = mesh.axes[2], mesh.widths[2]
+        blocks.append(stiffness(mesh.diff[2] / np.diff(x3))
+                      + np.diag(mesh.reaction * w3))
+        g.append(np.multiply.outer(mesh.diff[:2], w3))
+    cz = block_diag(*blocks)
+    g = np.concatenate(g, axis=1)
+    # top flux leaves the upper bed, bottom flux enters the lower bed
+    P = meshp.layers.start
+    M = P - 1
     ex = cfg.exchange
     c = ex.exchange_scale
     ch = ex.cosh_factor
     A = ex.advective_factor
-    # top flux leaves the upper bed, bottom flux enters the lower bed
-    rows.extend((P, P, M, M))
-    cols.extend((P, M, P, M))
-    vals.extend((av * c * ch, av * (-c * A), av * (-c), av * (c * A * ch)))
+    cz[[P, P, M, M], [P, M, P, M]] += (c * ch, -c * A, -c, c * A * ch)
     if cfg.surface_diffusion is not None:
-        for axis in range(2):
-            _, length, spacing = meshp.faces(axis, dims=2)
-            two_point(rows, cols, vals,
-                      *axis_neighbours(meshp.index[:, :, 0], axis),
-                      (cfg.surface_scale * cfg.surface_diffusion[axis]
-                       * length / spacing).ravel())
-    for src, plane in ((surface_source, P), (surface_source_minus, M)):
-        if src is not None:
-            np.add.at(b, plane, on_grid(src, *meshp.axes[:2]).ravel() * av)
+        g[:, P] += cfg.surface_scale * cfg.surface_diffusion
+    x1, x2 = meshp.axes[:2]
+    return TensorOperator(*meshp.widths[:2], stiffness(1.0 / np.diff(x1)),
+                          stiffness(1.0 / np.diff(x2)), cz, *g)
 
 
 def _assemble_upwind(cfg: TransportConfig, meshp: _BedMesh,
@@ -281,7 +270,8 @@ def _assemble_upwind(cfg: TransportConfig, meshp: _BedMesh,
                    (cfg.surface_scale * v * length).ravel())
     if not rows:
         return None
-    return coo_square(rows, cols, vals, meshp.n + meshm.n).tocsr()
+    return coo_square(rows, cols, vals,
+                      meshp.index.size + meshm.index.size).tocsr()
 
 
 @dataclass
@@ -315,44 +305,32 @@ class TransportSolution:
 
 def _assemble_system(cfg: TransportConfig, surface_source,
                      surface_source_minus):
-    """The 3-D vertex system of both beds before the Dirichlet rows: the
-    velocity-free matrix S, the upwind matrix U (None without velocities)
-    and b, so that A = S + U; then the Dirichlet vertices `fixed` with
-    their `data` (zero elsewhere), and the two bed meshes."""
-    meshp = _BedMesh(cfg, "plus", 0)
-    meshm = _BedMesh(cfg, "minus", meshp.n)
-    n_tot = meshp.n + meshm.n
-    # U first: its COO lists are freed before those of S are built
+    """The vertex system of both beds on the stacked grid before the
+    Dirichlet rows: the 1-D factors of the velocity-free matrix S, the upwind
+    matrix U (None without velocities) and b, so that A = S + U; then the
+    Dirichlet vertices `fixed` with their `data` (zero elsewhere), and the
+    two bed meshes."""
+    meshp = _BedMesh(cfg, "plus")
+    meshm = _BedMesh(cfg, "minus")
+    n_tot = meshp.index.size + meshm.index.size
     U = _assemble_upwind(cfg, meshp, meshm)
-    rows: list = []
-    cols: list = []
-    vals: list = []
     b = np.zeros(n_tot)
-    _assemble_bed(cfg, meshp, rows, cols, vals, b)
-    _assemble_bed(cfg, meshm, rows, cols, vals, b)
-    _assemble_surface(cfg, meshp, meshm, rows, cols, vals, b, surface_source,
-                      surface_source_minus)
     fixed = np.zeros(n_tot, dtype=bool)
     data = np.zeros(n_tot)
-    for mesh, bc in ((meshp, cfg.bc_plus), (meshm, cfg.bc_minus)):
+    for mesh, src, bc in ((meshp, cfg.source_plus, cfg.bc_plus),
+                          (meshm, cfg.source_minus, cfg.bc_minus)):
+        if src is not None:
+            factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
+            b[mesh.index] = factor * on_grid(src, *mesh.axes) * mesh.volumes()
         mask = mesh.boundary_mask()
-        g = on_grid(bc, *mesh.axes)
         fixed[mesh.index[mask]] = True
-        data[mesh.index[mask]] = g[mask]
-    return (coo_square(rows, cols, vals, n_tot).tocsr(), U, b, fixed, data,
-            meshp, meshm)
-
-
-def _interior_modes(S, meshp: _BedMesh, meshm: _BedMesh):
-    """The interior vertices as an (n1 - 1, n2 - 1, nz) index in the column
-    order of the separable solve, and the column operator (C, h1, h2) of
-    the velocity-free S on them."""
-    # vertex columns without the outer Dirichlet planes, ordered
-    # [minus bottom->top, plus bottom->top] so the column operator is
-    # banded; the side Dirichlet ring stays in the index
-    index = np.concatenate((meshm.index[:, :, 1:], meshp.index[:, :, :-1]),
-                           axis=2)
-    return (index[1:-1, 1:-1],) + column_operator(S, index, "dst1")
+        data[mesh.index[mask]] = on_grid(bc, *mesh.axes)[mask]
+    area = meshp.plane_area()
+    for src, plane in ((surface_source, meshp.index[:, :, 0]),
+                       (surface_source_minus, meshm.index[:, :, -1])):
+        if src is not None:
+            b[plane] += on_grid(src, *meshp.axes[:2]) * area
+    return (_operator(cfg, meshp, meshm), U, b, fixed, data, meshp, meshm)
 
 
 def _solve_krylov(A, rhs, inner, modes):
@@ -373,8 +351,8 @@ def _solve_krylov(A, rhs, inner, modes):
 def solve_limit_transport(cfg: TransportConfig, surface_source=None,
                           surface_source_minus=None) -> TransportSolution:
     """Solve the coupled transport problem on its interior vertices, with
-    the Dirichlet data moved to the right-hand side through the assembled
-    matrix A = S + U.
+    the Dirichlet data moved to the right-hand side through the matrix
+    A = S + U.
 
     Without velocities there is no U; the beds are horizontally uniform and
     the interior is solved mode by mode in a sine basis
@@ -382,12 +360,14 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
     preconditioned by the separable inverse of S; if GMRES does not
     converge, the Dirichlet-pinned A goes to SuperLU.  Every route measures
     the residual on that pinned system."""
-    S, U, b, fixed, data, meshp, meshm = _assemble_system(
+    op, U, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
-    inner, *modes = _interior_modes(S, meshp, meshm)
+    grid = np.arange(b.size).reshape(op.w1.size, op.w2.size, -1)
+    inner = grid[1:-1, 1:-1, 1:-1]  # without the Dirichlet boundary vertices
+    modes = separable_factors(op, slice(1, -1))
     separable = U is None
-    A = S if separable else S + U
-    del S, U  # only A is used below: free the parts before GMRES runs
+    A = kronecker_sum(op) if separable else kronecker_sum(op) + U
+    del U  # only A is used below: free U before GMRES runs
     rhs = b - A @ data
     u = data.copy()
     iterations = 0
@@ -403,11 +383,9 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
         u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     else:
         residual = checked_residual(A, u, b, fixed, data)
-    return TransportSolution(
-        config=cfg,
-        u_plus=u[:meshp.n].reshape(meshp.shape),
-        u_minus=u[meshp.n:].reshape(meshm.shape),
-        residual=residual, route=route, iterations=iterations)
+    return TransportSolution(config=cfg, u_plus=u[meshp.index],
+                             u_minus=u[meshm.index], residual=residual,
+                             route=route, iterations=iterations)
 
 
 def _divergence(r: np.ndarray, flux: np.ndarray, axis: int):
@@ -423,8 +401,8 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
     """Re-walk the solved fields with array shifts (independently of the
     sparse assembly) and report the worst normalized vertex defect."""
     cfg = sol.config
-    meshp = _BedMesh(cfg, "plus", 0)
-    meshm = _BedMesh(cfg, "minus", meshp.n)
+    meshp = _BedMesh(cfg, "plus")
+    meshm = _BedMesh(cfg, "minus")
     # normalize by coefficient magnitudes at the solution scale, not by the
     # realized terms: near-uniform states would otherwise divide roundoff
     # by roundoff

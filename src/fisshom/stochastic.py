@@ -339,8 +339,8 @@ class PhaseSequence:
     seed: int
 
     def __post_init__(self):
-        if not self.bound >= 0:
-            raise ValueError("phase bound must be nonnegative")
+        if not 0 <= self.bound < math.inf:
+            raise ValueError("phase bound must be finite and nonnegative")
 
     def _draw(self, tag: int, i):
         u = uniform_from_hash(self.seed, tag, np.asarray(i, dtype=np.int64))

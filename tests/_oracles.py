@@ -18,7 +18,9 @@ one in a fixed order: the two agree to rounding.
 
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) routes in `fisshom.limit_flow` and
-`fisshom.limit_transport`: the same assembled 3-D systems, factored whole.
+`fisshom.limit_transport`: the same 3-D matrices, factored whole.  The
+face-by-face COO assemblies of those matrices are the references of the
+solvers' Kronecker factors; they number the unknowns as the solvers do.
 The SuperLU torsion solve is likewise the reference of the sine-transform
 route in `fisshom.cell.solve_poisson_cell`.
 """
@@ -29,8 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from fisshom import limit_flow, limit_transport
-from fisshom._numerics import (fsum, gauss_legendre, panel_quadrature,
-                               pin_rows, solve_sparse)
+from fisshom._numerics import (axis_neighbours, coo_square, fsum,
+                               gauss_legendre, kronecker_sum,
+                               panel_quadrature, pin_rows, solve_sparse,
+                               two_point)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
@@ -227,20 +231,102 @@ def pair_averages_per_tube(fissures, panels_per_period=6.0):
     return qbar, rbar, q0
 
 
+def limit_flow_coo(cfg, bc):
+    """The flow matrix assembled face by face: interior two-point fluxes,
+    2 tau Dirichlet boundary faces, and the interface stencil coupling four
+    cells per column."""
+    bedp = limit_flow._Bed(cfg, "plus")
+    bedm = limit_flow._Bed(cfg, "minus")
+    n1, n2, nzp, nzm = cfg.shape
+    grid = np.arange(n1 * n2 * (nzp + nzm)).reshape(n1, n2, nzp + nzm)
+    index = {bed.side: grid[:, :, bed.layers] for bed in (bedp, bedm)}
+    rows, cols, vals = [], [], []
+    for bed in (bedp, bedm):
+        kap = bed.kappa
+        idx = index[bed.side]
+        for axis in range(3):
+            tau = kap[axis] * bed.face_area(axis) / bed.deltas[axis]
+            two_point(rows, cols, vals, *axis_neighbours(idx, axis), tau)
+        faces = []
+        if bc.kind != "closed":
+            faces.append((idx[:, :, -1 if bed.side == "plus" else 0], 2))
+        if bc.kind == "dirichlet":
+            faces += [(idx[0], 0), (idx[-1], 0), (idx[:, 0], 1),
+                      (idx[:, -1], 1)]
+        for cells, axis in faces:
+            rows.append(cells.ravel())
+            cols.append(cells.ravel())
+            vals.append(np.full(cells.size, 2.0 * kap[axis]
+                                * bed.face_area(axis) / bed.deltas[axis]))
+    ts = limit_flow._trace_system(cfg)
+    c1 = ts.lam * (ts.Minv[0, 0] - ts.Minv[1, 0])
+    c2 = ts.lam * (ts.Minv[0, 1] - ts.Minv[1, 1])
+    area = bedp.face_area(2)
+    cp0, cp1 = grid[:, :, nzm].ravel(), grid[:, :, nzm + 1].ravel()
+    cm0, cm1 = grid[:, :, nzm - 1].ravel(), grid[:, :, nzm - 2].ravel()
+    stencil = ((cp0, area * c1 * -9.0 * ts.gam_p),
+               (cp1, area * c1 * ts.gam_p),
+               (cm0, area * c2 * 9.0 * ts.gam_m),
+               (cm1, area * c2 * -ts.gam_m))
+    for target, sign in ((cp0, +1.0), (cm0, -1.0)):
+        for src_cells, coef in stencil:
+            rows.append(target)
+            cols.append(src_cells)
+            vals.append(np.full(target.size, sign * coef))
+    return coo_square(rows, cols, vals, grid.size).tocsr()
+
+
+def limit_transport_coo(cfg):
+    """The velocity-free transport matrix S assembled face by face:
+    two-point diffusion and reaction in both beds, the exchange block and
+    the surface diffusion on the interface plane."""
+    meshp = limit_transport._BedMesh(cfg, "plus")
+    meshm = limit_transport._BedMesh(cfg, "minus")
+    rows, cols, vals = [], [], []
+    for mesh in (meshp, meshm):
+        for axis in range(3):
+            _, area, spacing = mesh.faces(axis)
+            two_point(rows, cols, vals, *axis_neighbours(mesh.index, axis),
+                      (mesh.diff[axis] * area / spacing).ravel())
+        if mesh.reaction != 0.0:
+            cells = mesh.index.ravel()
+            rows.append(cells)
+            cols.append(cells)
+            vals.append(mesh.reaction * mesh.volumes().ravel())
+    P = meshp.index[:, :, 0].ravel()
+    M = meshm.index[:, :, -1].ravel()
+    av = meshp.plane_area().ravel()
+    ex = cfg.exchange
+    c, ch, A = ex.exchange_scale, ex.cosh_factor, ex.advective_factor
+    rows.extend((P, P, M, M))
+    cols.extend((P, M, P, M))
+    vals.extend((av * c * ch, av * (-c * A), av * (-c), av * (c * A * ch)))
+    if cfg.surface_diffusion is not None:
+        for axis in range(2):
+            _, length, spacing = meshp.faces(axis, dims=2)
+            two_point(rows, cols, vals,
+                      *axis_neighbours(meshp.index[:, :, 0], axis),
+                      (cfg.surface_scale * cfg.surface_diffusion[axis]
+                       * length / spacing).ravel())
+    n = meshp.index.size + meshm.index.size
+    return coo_square(rows, cols, vals, n).tocsr()
+
+
 def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
     """The coupled flow solve before the separable route: SuperLU on the
-    assembled 3-D system, gauged by p = 0 in its first cell for closed
+    solver's 3-D matrix, gauged by p = 0 in its first cell for closed
     boundaries and then shifted to mean(p_plus) = 0."""
-    coo, b, bedp, bedm = limit_flow._assemble_system(cfg, bc, source_plus,
-                                                     source_minus)
-    A = coo.tocsc()
+    op, b, bedp, bedm = limit_flow._assemble_system(cfg, bc, source_plus,
+                                                    source_minus)
+    A = kronecker_sum(op).tocsc()
+    b = b.ravel()
     if bc.kind == "closed":
         gauge = np.zeros(b.size, dtype=bool)
         gauge[0] = True
         A, b = pin_rows(A, b, gauge, 0.0)
     p, residual = solve_sparse(A, b)
-    p_plus = p[:bedp.n_cells].reshape(bedp.shape)
-    p_minus = p[bedp.n_cells:].reshape(bedm.shape)
+    p = p.reshape(op.w1.size, op.w2.size, -1)
+    p_plus, p_minus = p[:, :, bedp.layers], p[:, :, bedm.layers]
     if bc.kind == "closed":
         shift = float(p_plus.mean())
         p_plus = p_plus - shift
@@ -250,15 +336,14 @@ def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
 
 def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
     """The coupled transport solve before the separable route: SuperLU on
-    the assembled 3-D system A = S + U with its Dirichlet rows pinned."""
-    S, U, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
+    the solver's 3-D matrix A = S + U with its Dirichlet rows pinned."""
+    op, U, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
         cfg, surface_source, surface_source_minus)
-    A = S if U is None else S + U
+    A = kronecker_sum(op) if U is None else kronecker_sum(op) + U
     u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     return limit_transport.TransportSolution(
-        config=cfg, u_plus=u[:meshp.n].reshape(meshp.shape),
-        u_minus=u[meshp.n:].reshape(meshm.shape), residual=residual,
-        route="splu", iterations=0)
+        config=cfg, u_plus=u[meshp.index], u_minus=u[meshm.index],
+        residual=residual, route="splu", iterations=0)
 
 
 def poisson_cell_splu(n):

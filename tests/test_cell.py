@@ -171,6 +171,14 @@ def test_obstacle_validation():
         ObstacleSpec("wedge", (0.1,))
 
 
+@pytest.mark.parametrize("size, message", [((math.nan,), "positive"),
+                                           ((0.2, 0.3), "one size")],
+                         ids=["nan", "two_sizes"])
+def test_ball_obstacle_needs_one_positive_radius(size, message):
+    with pytest.raises(ValueError, match=message):
+        ObstacleSpec("ball", size)
+
+
 def test_diffusion_cell_3d_identity_and_obstacle():
     mesh = CellMesh(6, dim=3)
     sol = solve_scalar_cell_3d(mesh, diffusivity=0.7)

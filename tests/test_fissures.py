@@ -62,10 +62,20 @@ def test_geometry_validation():
         GeometryParams(epsilon=1.5, theta=0.5, height=1.0)
     with pytest.raises(ValueError, match="height"):
         GeometryParams(epsilon=0.1, theta=0.5, height=math.nan)
-    with pytest.raises(ValueError, match="extents"):
+    with pytest.raises(ValueError, match="x1_extent"):
         GeometryParams(epsilon=0.1, theta=0.5, height=1.0,
                        x1_extent=(0.0, math.nan))
     GeometryParams(epsilon=0.1, theta=0.65, height=1.0)
+
+
+@pytest.mark.parametrize("axis", ["x1_extent", "x2_extent"])
+@pytest.mark.parametrize("extent", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (1.0, 0.0), (0.5, 0.5)],
+                         ids=["inf", "minus_inf", "reversed", "equal"])
+def test_bad_extent_is_rejected_by_name(axis, extent):
+    with pytest.raises(ValueError, match=axis):
+        GeometryParams(epsilon=0.1, theta=0.5, height=1.0,
+                       **{axis: extent})
 
 
 def test_enumeration_matches_brute_force():

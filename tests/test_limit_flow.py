@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fisshom._numerics import fit_loglog_slope
+from fisshom import limit_flow
+from fisshom._numerics import fit_loglog_slope, kronecker_sum
 from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
@@ -13,7 +14,7 @@ from fisshom.limit_flow import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import limit_flow_splu
+from _oracles import limit_flow_coo, limit_flow_splu
 
 STATS = constant_stats(0.5)
 
@@ -256,3 +257,16 @@ def test_separable_route_matches_splu_oracle(kind):
     if kind == "closed":
         assert abs(float(sol.p_plus.mean())) < 1e-12
         assert np.ptp(sol.interface_flux) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["closed", "pressure_ends", "dirichlet"])
+def test_kronecker_sum_matches_face_assembly(kind):
+    cfg, bc, src_p, src_m = _separable_cases()[kind]
+    op = limit_flow._assemble_system(cfg, bc, src_p, src_m)[0]
+    got = kronecker_sum(op)
+    want = limit_flow_coo(cfg, bc)
+    assert got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
+        np.abs(want.data))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fisshom import limit_transport
-from fisshom._numerics import fit_loglog_slope
+from fisshom._numerics import fit_loglog_slope, kronecker_sum
 from fisshom.fissure_transport import transmission_coeffs
 from fisshom.limit_flow import FlowConfig
 from fisshom.limit_transport import (
@@ -17,7 +17,7 @@ from fisshom.limit_transport import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import limit_transport_splu
+from _oracles import limit_transport_coo, limit_transport_splu
 
 STATS = constant_stats(0.5)
 LAYER = dict(height=0.8, mean_qq=0.25, mean_inv_qq=4.2)
@@ -377,31 +377,47 @@ def test_krylov_route_repeats_exactly():
 
 def test_every_route_assembles_the_system_once(monkeypatch):
     calls = []
-    original = limit_transport.two_point
+    original = limit_transport.kronecker_sum
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(limit_transport, "two_point", counting)
+    monkeypatch.setattr(limit_transport, "kronecker_sum", counting)
     counts = {}
     for fields in ({}, _varying_fields(), _varying_fields(scale=1e4)):
         calls.clear()
         sol = solve_limit_transport(_uniform_case(**fields),
                                     *_surface_sources())
         counts[sol.route] = len(calls)
-    assert set(counts) == {"separable", "krylov", "splu"}
-    assert len(set(counts.values())) == 1
+    assert counts == {"separable": 1, "krylov": 1, "splu": 1}
 
 
 def test_velocity_free_part_ignores_the_velocities():
     sources = _surface_sources()
-    S, U = limit_transport._assemble_system(
+    op, U = limit_transport._assemble_system(
         _uniform_case(**_varying_fields()), *sources)[:2]
-    S0, U0 = limit_transport._assemble_system(_uniform_case(), *sources)[:2]
+    op0, U0 = limit_transport._assemble_system(_uniform_case(), *sources)[:2]
     assert U is not None and U0 is None
+    S, S0 = kronecker_sum(op), kronecker_sum(op0)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(S, attr), getattr(S0, attr))
+
+
+@pytest.mark.parametrize("fields", [{}, _varying_fields()],
+                         ids=["still", "varying"])
+def test_kronecker_sum_matches_face_assembly(fields):
+    cfg = _uniform_case(**fields)
+    op, U = limit_transport._assemble_system(cfg, *_surface_sources())[:2]
+    got = kronecker_sum(op)
+    want = limit_transport_coo(cfg)
+    if U is not None:
+        got, want = got + U, want + U
+    assert got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
+        np.abs(want.data))
 
 
 def test_high_peclet_falls_back_to_splu():

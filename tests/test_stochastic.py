@@ -227,6 +227,11 @@ def test_phase_sequence_deterministic_and_bounded():
             PhaseSequence(bound=bound, seed=42)
 
 
+def test_phase_bound_must_be_finite():
+    with pytest.raises(ValueError, match="phase bound must be finite"):
+        PhaseSequence(bound=math.inf, seed=42)
+
+
 def test_phase_sequence_statistics_roughly_uniform():
     ph = PhaseSequence(bound=0.5, seed=11)
     al, _ = ph.window(0, 4000)
