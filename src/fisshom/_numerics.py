@@ -9,9 +9,14 @@ entries fixes how duplicates are summed, so it is part of their contract.
 
 A bed operator on a horizontally uniform tensor grid, whose column axis
 stacks both beds, is described once by its 1-D factors (`TensorOperator`).
-Its matrix is their Kronecker sum, and the same factors give the column
-systems of the mode-by-mode solve (`solve_separable`: the fast
-diagonalization method of Lynch, Rice & Thomas 1964).  The tests keep the
+The separable routes never form its 3-D matrix: the operator applies itself
+in tensor form, one sparse 1-D product per axis, for residuals and
+right-hand sides, and its largest entry comes from the factors too.  The
+same factors give the column systems of the mode-by-mode solve
+(`solve_separable`: the fast diagonalization method of Lynch, Rice & Thomas
+1964), whose block-diagonal mode matrix is built directly and factored in
+its natural order, where the banded blocks make no fill.  The matrix itself,
+their Kronecker sum, serves the non-separable routes.  The tests keep the
 face-by-face COO assemblies of both bed matrices as the independent
 reference of the factors.
 """
@@ -205,16 +210,16 @@ def pin_rows(A: sp.spmatrix, b: np.ndarray, fixed: np.ndarray, values):
     return pinned.asformat(A.format), np.where(fixed, values, b)
 
 
-def checked_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray,
+def checked_residual(Ax: np.ndarray, x: np.ndarray, b: np.ndarray,
                      fixed: np.ndarray | None = None, values=0.0) -> float:
-    """max|Ax - b| / (max|b| + max|x| + 1) with A as passed; raises
-    RuntimeError when it exceeds 1e-9.
+    """max|Ax - b| / (max|b| + max|x| + 1) for the product Ax of the
+    operator with x; raises RuntimeError when it exceeds 1e-9.
 
-    With `fixed`, the residual is that of the system `pin_rows(A, b, fixed,
-    values)` without building it: x - values on the fixed rows, and values
-    in place of b there.
+    With `fixed`, the residual is that of the system that `pin_rows` makes
+    of A, b, fixed and values, without building it: x - values on the fixed
+    rows, and values in place of b there.
     """
-    r = A @ x - b
+    r = Ax - b
     if fixed is not None:
         r = np.where(fixed, x - values, r)
         b = np.where(fixed, values, b)
@@ -225,15 +230,24 @@ def checked_residual(A: sp.spmatrix, x: np.ndarray, b: np.ndarray,
     return residual
 
 
-def solve_sparse(A: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Direct sparse solve with a residual check.
+def solve_sparse(A: sp.spmatrix, b: np.ndarray,
+                 **lu_options) -> tuple[np.ndarray, float]:
+    """Direct sparse solve with a residual check; `lu_options` go to
+    SuperLU (`scipy.sparse.linalg.splu`), whose defaults order the columns
+    by COLAMD.
 
     Returns (x, residual), residual = max|Ax - b| / (max|b| + max|x| + 1)
     with A as passed; raises RuntimeError when it exceeds 1e-9.
     """
-    x = spla.splu(A.tocsc()).solve(b)
-    return x, checked_residual(A, x, b)
+    x = spla.splu(A.tocsc(), **lu_options).solve(b)
+    return x, checked_residual(A @ x, x, b)
 
+
+# SuperLU options for the block-diagonal mode matrix of the separable
+# solve.  Its blocks are banded, so in their natural column order the
+# factors fill nothing outside the bands, and one column per panel halves
+# the factor time at the same fill (measured on the bed benchmark's modes).
+_BANDED_LU = {"permc_spec": "NATURAL", "panel_size": 1}
 
 # Horizontal bases of the separable solve: transform pair, transform type,
 # and frequency of the first mode.
@@ -263,7 +277,8 @@ class TensorOperator(NamedTuple):
 
     W the horizontal control-volume widths, K the 1-D horizontal stiffness
     matrices, Cz the dense column operator per unit horizontal area, and G
-    the per-layer horizontal conductances."""
+    the per-layer horizontal conductances.  `op @ x` applies S to a flat x
+    numbered (i1, i2, k) in C order, as `kronecker_sum` numbers it."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -273,17 +288,55 @@ class TensorOperator(NamedTuple):
     g1: np.ndarray
     g2: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.w1.size, self.w2.size, self.cz.shape[0])
+
+    def terms(self):
+        """(axis, M, across) of each Kronecker term, in the order
+        `kronecker_sum` adds them: the 1-D factor M along `axis`, and the
+        product of the two diagonals across that axis, shaped as the other
+        two axes."""
+        return ((2, self.cz, np.multiply.outer(self.w1, self.w2)),
+                (0, self.k1, np.multiply.outer(self.w2, self.g1)),
+                (1, self.k2, np.multiply.outer(self.w1, self.g2)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """S x in tensor form: each 1-D factor acts along its axis as a
+        sparse product, so neither the 3-D matrix nor a BLAS kernel
+        enters."""
+        x = x.reshape(self.shape)
+        y = np.zeros(self.shape)
+        for axis, M, across in self.terms():
+            moved = np.moveaxis(x, axis, 0)
+            Mx = sp.csr_matrix(M) @ moved.reshape(moved.shape[0], -1)
+            y += (np.moveaxis(Mx.reshape(moved.shape), 0, axis)
+                  * np.expand_dims(across, axis))
+        return y.ravel()
+
+    def max_abs(self) -> float:
+        """max|S| from the factors, equal bit for bit to the largest entry
+        of `kronecker_sum`: an off-diagonal entry comes from one term, and
+        a diagonal one sums the three terms in the order it adds them."""
+        diag = np.zeros(self.shape)
+        off = 0.0
+        for axis, M, across in self.terms():
+            d = np.diag(M)
+            diag = diag + (np.expand_dims(across, axis)
+                           * d.reshape([-1 if a == axis else 1
+                                        for a in range(3)]))
+            off = max(off, float(np.max(np.abs(M - np.diag(d))))
+                      * float(np.max(np.abs(across))))
+        return max(off, float(np.max(np.abs(diag))))
+
 
 def kronecker_sum(op: TensorOperator) -> sp.csr_matrix:
     """The sparse matrix S of `op`, unknowns numbered (i1, i2, k) in C
     order.  Each term couples the unknowns along the axis of its one
     non-diagonal factor, scaled by the two diagonals across that axis."""
-    shape = (op.w1.size, op.w2.size, op.cz.shape[0])
-    index = np.arange(np.prod(shape), dtype=np.int32).reshape(shape)
+    index = np.arange(np.prod(op.shape), dtype=np.int32).reshape(op.shape)
     S = sp.csr_matrix((index.size,) * 2)
-    for axis, M, across in ((2, op.cz, np.multiply.outer(op.w1, op.w2)),
-                            (0, op.k1, np.multiply.outer(op.w2, op.g1)),
-                            (1, op.k2, np.multiply.outer(op.w1, op.g2))):
+    for axis, M, across in op.terms():
         r, c = np.nonzero(M)
         along = np.moveaxis(index, axis, 0)
         S = S + sp.csr_matrix((np.multiply.outer(M[r, c], across).ravel(),
@@ -310,13 +363,31 @@ def mode_eigenvalues(m: int, basis: str) -> np.ndarray:
 
 
 def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                 m1: int, m2: int, basis: str) -> sp.csr_matrix:
+                 m1: int, m2: int, basis: str,
+                 pin: int | None = None) -> sp.csr_matrix:
     """The mode-major block matrix kron(I, C) + diags(mu1 h1 + mu2 h2) of an
-    (m1, m2) horizontal grid in `basis`: one column block per mode."""
+    (m1, m2) horizontal grid in `basis`, one column block per mode, written
+    directly in CSR with the entries and pattern of that sum: C off the
+    diagonal, C + shift on it, exact zeros dropped.  `pin` names a row of
+    mode (0, 0) that becomes the gauge row x = 0."""
+    nz = C.shape[0]
     shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
-             + mode_eigenvalues(m2, basis)[None, :, None] * h2)
-    return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
-            + sp.diags(shift.ravel())).tocsr()
+             + mode_eigenvalues(m2, basis)[None, :, None] * h2
+             ).reshape(-1, nz)
+    # the pattern of one block in CSR order, with its whole diagonal
+    r, c = np.nonzero((C != 0) | np.eye(nz, dtype=bool))
+    vals = np.tile(C[r, c], (len(shift), 1))
+    vals[:, r == c] += shift
+    if pin is not None:
+        vals[0, r == pin] = 0.0
+        vals[0, (r == pin) & (c == pin)] = 1.0
+    counts = np.tile(np.bincount(r, minlength=nz), len(shift))
+    M = sp.csr_matrix((vals.ravel(),
+                       (nz * np.arange(len(shift))[:, None] + c).ravel(),
+                       np.concatenate(([0], np.cumsum(counts)))),
+                      shape=(shift.size,) * 2)
+    M.eliminate_zeros()
+    return M
 
 
 def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
@@ -326,9 +397,10 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
 
     L1 and L2 are the 1-D second differences that `basis` diagonalizes, with
     eigenvalues mu_k = 2 - 2 cos(pi k / n).  The orthonormal transform of
-    axes 0 and 1 turns the system into one banded column block
-    C + diag(mu1_k1 h1 + mu2_k2 h2) per mode (k1, k2); all blocks go to
-    one sparse solve, whose fill stays linear in the unknowns.  `pin` names a
+    axes 0 and 1 turns the system into one column block
+    C + diag(mu1_k1 h1 + mu2_k2 h2) per mode (k1, k2).  All blocks go to one
+    sparse solve in SuperLU's natural column order: each block is banded
+    like C, so the factors add no fill outside the bands.  `pin` names a
     row of mode (0, 0) that is replaced by the gauge x = 0, for a singular
     column with a compatible right-hand side.
 
@@ -336,13 +408,11 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     """
     forward, inverse, kind, _ = _BASES[basis]
     m1, m2, _ = rhs.shape
-    M = _mode_matrix(C, h1, h2, m1, m2, basis)
+    M = _mode_matrix(C, h1, h2, m1, m2, basis, pin)
     rhs_hat = forward(rhs, type=kind, axes=(0, 1), norm="ortho").ravel()
     if pin is not None:
-        fixed = np.zeros(rhs_hat.size, dtype=bool)
-        fixed[pin] = True
-        M, rhs_hat = pin_rows(M, rhs_hat, fixed, 0.0)
-    x_hat, residual = solve_sparse(M, rhs_hat)
+        rhs_hat[pin] = 0.0
+    x_hat, residual = solve_sparse(M, rhs_hat, **_BANDED_LU)
     x = inverse(x_hat.reshape(rhs.shape), type=kind, axes=(0, 1),
                 norm="ortho")
     return x, residual
@@ -352,11 +422,13 @@ def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                       shape: tuple[int, int, int], basis: str):
     """The inverse of the separable operator of `solve_separable` on
     unknowns of `shape`, as a function of a flat right-hand side.  The mode
-    matrix is factored once; each call transforms, back-substitutes and
-    transforms back, so it serves as an iterative solver's preconditioner.
+    matrix is factored once, in its natural column order; each call
+    transforms, back-substitutes and transforms back, so it serves as an
+    iterative solver's preconditioner.
     """
     forward, inverse, kind, _ = _BASES[basis]
-    lu = spla.splu(_mode_matrix(C, h1, h2, shape[0], shape[1], basis).tocsc())
+    M = _mode_matrix(C, h1, h2, shape[0], shape[1], basis)
+    lu = spla.splu(M.tocsc(), **_BANDED_LU)
 
     def apply(r: np.ndarray) -> np.ndarray:
         r_hat = forward(r.reshape(shape), type=kind, axes=(0, 1),

@@ -30,15 +30,17 @@ surface velocities; A = S + U.  S is the Kronecker sum of 1-D factors
 (`_numerics.TensorOperator`); U stays a face-by-face assembly, since the
 velocities vary in space.  The Dirichlet data move to the right-hand side
 through A, and the interior vertices are solved.  Without velocities there
-is no U, and the interior factors of S give one banded column system per
-horizontal mode of an orthonormal sine transform
-(`_numerics.solve_separable`).  Any velocity makes A non-separable.
-Restarted GMRES then solves the interior system of A, preconditioned by the
-separable inverse of S (`_numerics.separable_inverse`): the fast direct
-solver of the separable part as the preconditioner of the whole (Concus &
-Golub 1973).  Where GMRES does not converge within its fixed iteration cap,
-as at very high Peclet numbers, the whole Dirichlet-pinned A goes to
-SuperLU.  Every route measures the residual on that pinned system, and the
+is no U and no matrix: S acts in tensor form, one sparse 1-D product per
+axis, for the right-hand side and the residual, and the interior factors of
+S give one banded column system per horizontal mode of an orthonormal sine
+transform (`_numerics.solve_separable`).  Any velocity makes A
+non-separable; A = S + U is then formed, and restarted GMRES solves its
+interior system, preconditioned by the separable inverse of S
+(`_numerics.separable_inverse`): the fast direct solver of the separable
+part as the preconditioner of the whole (Concus & Golub 1973).  Where GMRES
+does not converge within its fixed iteration cap, as at very high Peclet
+numbers, the whole Dirichlet-pinned A goes to SuperLU.  Every route
+measures the residual of that pinned system, and the
 solution records which route ran and how many GMRES iterations it took.
 The tests keep the face-by-face assembly of S as its independent reference.
 
@@ -356,17 +358,21 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
 
     Without velocities there is no U; the beds are horizontally uniform and
     the interior is solved mode by mode in a sine basis
-    (`solve_separable`).  With any velocity, restarted GMRES solves it,
-    preconditioned by the separable inverse of S; if GMRES does not
-    converge, the Dirichlet-pinned A goes to SuperLU.  Every route measures
-    the residual on that pinned system."""
+    (`solve_separable`), and S applies itself in tensor form
+    (`TensorOperator`) without forming a matrix.  With any velocity,
+    restarted GMRES solves the system of the matrix A, preconditioned by the
+    separable inverse of S; if GMRES does not converge, the
+    Dirichlet-pinned A goes to SuperLU.  Every route measures the residual
+    of that pinned system, with the normalization and the 1e-9 gate of
+    `checked_residual`."""
     op, U, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
-    grid = np.arange(b.size).reshape(op.w1.size, op.w2.size, -1)
+    grid = np.arange(b.size).reshape(op.shape)
     inner = grid[1:-1, 1:-1, 1:-1]  # without the Dirichlet boundary vertices
     modes = separable_factors(op, slice(1, -1))
     separable = U is None
-    A = kronecker_sum(op) if separable else kronecker_sum(op) + U
+    # the separable route forms no matrix: S acts in tensor form
+    A = op if separable else kronecker_sum(op) + U
     del U  # only A is used below: free U before GMRES runs
     rhs = b - A @ data
     u = data.copy()
@@ -382,7 +388,7 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
     if route == "splu":
         u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     else:
-        residual = checked_residual(A, u, b, fixed, data)
+        residual = checked_residual(A @ u, u, b, fixed, data)
     return TransportSolution(config=cfg, u_plus=u[meshp.index],
                              u_minus=u[meshm.index], residual=residual,
                              route=route, iterations=iterations)

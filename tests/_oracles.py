@@ -22,7 +22,9 @@ The SuperLU bed solves are the retained references of the separable
 face-by-face COO assemblies of those matrices are the references of the
 solvers' Kronecker factors; they number the unknowns as the solvers do.
 The SuperLU torsion solve is likewise the reference of the sine-transform
-route in `fisshom.cell.solve_poisson_cell`.
+route in `fisshom.cell.solve_poisson_cell`.  The Kronecker form of the mode
+matrix is the reference of its direct block-diagonal build in
+`fisshom._numerics`.
 """
 
 import math
@@ -33,8 +35,8 @@ import scipy.sparse as sp
 from fisshom import limit_flow, limit_transport
 from fisshom._numerics import (axis_neighbours, coo_square, fsum,
                                gauss_legendre, kronecker_sum,
-                               panel_quadrature, pin_rows, solve_sparse,
-                               two_point)
+                               mode_eigenvalues, panel_quadrature, pin_rows,
+                               solve_sparse, two_point)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
@@ -363,3 +365,13 @@ def poisson_cell_splu(n):
     profile = np.zeros((n + 1, n + 1))
     profile[1:-1, 1:-1] = u.reshape(m, m)
     return profile, h * h * fsum(u)
+
+
+def mode_matrix_kron(C, h1, h2, m1, m2, basis):
+    """The mode matrix of the separable solve in Kronecker form,
+    kron(I, C) + diags(mu1 h1 + mu2 h2), one column block per mode of the
+    (m1, m2) horizontal grid in `basis`."""
+    shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
+             + mode_eigenvalues(m2, basis)[None, :, None] * h2)
+    return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
+            + sp.diags(shift.ravel())).tocsr()

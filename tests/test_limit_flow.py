@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fisshom import limit_flow
-from fisshom._numerics import fit_loglog_slope, kronecker_sum
+from fisshom._numerics import (_mode_matrix, fit_loglog_slope, kronecker_sum,
+                               pin_rows, separable_factors)
 from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
@@ -14,7 +15,7 @@ from fisshom.limit_flow import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import limit_flow_coo, limit_flow_splu
+from _oracles import limit_flow_coo, limit_flow_splu, mode_matrix_kron
 
 STATS = constant_stats(0.5)
 
@@ -270,3 +271,33 @@ def test_kronecker_sum_matches_face_assembly(kind):
     assert np.array_equal(got.indices, want.indices)
     assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
         np.abs(want.data))
+
+
+@pytest.mark.parametrize("kind", ["closed", "pressure_ends", "dirichlet"])
+def test_tensor_apply_matches_kronecker_sum(kind):
+    cfg, bc, src_p, src_m = _separable_cases()[kind]
+    op = limit_flow._assemble_system(cfg, bc, src_p, src_m)[0]
+    A = kronecker_sum(op)
+    x = np.random.default_rng(5).standard_normal(A.shape[0])
+    assert np.max(np.abs(op @ x - A @ x)) <= 1e-15 * np.max(
+        np.abs(A.data)) * np.max(np.abs(x))
+    # the closed-flow compatibility scale, bit for bit
+    assert op.max_abs() == np.max(np.abs(A.data))
+
+
+@pytest.mark.parametrize("kind", ["closed", "pressure_ends", "dirichlet"])
+def test_mode_matrix_is_the_kronecker_form(kind):
+    cfg, bc, src_p, src_m = _separable_cases()[kind]
+    op = limit_flow._assemble_system(cfg, bc, src_p, src_m)[0]
+    grid = (*op.shape[:2], "dst2" if kind == "dirichlet" else "dct2")
+    got = _mode_matrix(*separable_factors(op), *grid)
+    want = mode_matrix_kron(*separable_factors(op), *grid)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    if kind == "closed":
+        # the gauge row written in place, as pin_rows writes it
+        fixed = np.zeros(want.shape[0], dtype=bool)
+        fixed[0] = True
+        pinned, _ = pin_rows(want, np.zeros(want.shape[0]), fixed, 0.0)
+        got = _mode_matrix(*separable_factors(op), *grid, pin=0)
+        assert np.array_equal(got.toarray(), pinned.toarray())

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fisshom import limit_transport
-from fisshom._numerics import fit_loglog_slope, kronecker_sum
+from fisshom._numerics import (_mode_matrix, fit_loglog_slope, kronecker_sum,
+                               separable_factors)
 from fisshom.fissure_transport import transmission_coeffs
 from fisshom.limit_flow import FlowConfig
 from fisshom.limit_transport import (
@@ -17,7 +18,8 @@ from fisshom.limit_transport import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import limit_transport_coo, limit_transport_splu
+from _oracles import (limit_transport_coo, limit_transport_splu,
+                      mode_matrix_kron)
 
 STATS = constant_stats(0.5)
 LAYER = dict(height=0.8, mean_qq=0.25, mean_inv_qq=4.2)
@@ -376,21 +378,31 @@ def test_krylov_route_repeats_exactly():
 
 
 def test_every_route_assembles_the_system_once(monkeypatch):
-    calls = []
-    original = limit_transport.kronecker_sum
+    """One set of factors per solve; only the non-separable routes form
+    the matrix, once."""
+    calls = {"_operator": 0, "kronecker_sum": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(limit_transport, name)
 
-    monkeypatch.setattr(limit_transport, "kronecker_sum", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(limit_transport, name, counting(name))
     counts = {}
     for fields in ({}, _varying_fields(), _varying_fields(scale=1e4)):
-        calls.clear()
+        for name in calls:
+            calls[name] = 0
         sol = solve_limit_transport(_uniform_case(**fields),
                                     *_surface_sources())
-        counts[sol.route] = len(calls)
-    assert counts == {"separable": 1, "krylov": 1, "splu": 1}
+        counts[sol.route] = dict(calls)
+    assert counts == {
+        "separable": {"_operator": 1, "kronecker_sum": 0},
+        "krylov": {"_operator": 1, "kronecker_sum": 1},
+        "splu": {"_operator": 1, "kronecker_sum": 1}}
 
 
 def test_velocity_free_part_ignores_the_velocities():
@@ -418,6 +430,29 @@ def test_kronecker_sum_matches_face_assembly(fields):
     assert np.array_equal(got.indices, want.indices)
     assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
         np.abs(want.data))
+
+
+@pytest.mark.parametrize("fields", [{}, _varying_fields()],
+                         ids=["still", "varying"])
+def test_tensor_apply_matches_kronecker_sum(fields):
+    op = limit_transport._assemble_system(_uniform_case(**fields),
+                                          *_surface_sources())[0]
+    A = kronecker_sum(op)
+    x = np.random.default_rng(5).standard_normal(A.shape[0])
+    assert np.max(np.abs(op @ x - A @ x)) <= 1e-15 * np.max(
+        np.abs(A.data)) * np.max(np.abs(x))
+    assert op.max_abs() == np.max(np.abs(A.data))
+
+
+def test_mode_matrix_is_the_kronecker_form():
+    op = limit_transport._assemble_system(_uniform_case(),
+                                          *_surface_sources())[0]
+    modes = separable_factors(op, slice(1, -1))
+    grid = (op.shape[0] - 2, op.shape[1] - 2, "dst1")
+    got = _mode_matrix(*modes, *grid)
+    want = mode_matrix_kron(*modes, *grid)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_high_peclet_falls_back_to_splu():
