@@ -1,8 +1,9 @@
 """Effective flow and transport models for porous media coupled through thin
 random vertical fissures.
 
-Pipeline: stationary random paths drive the fissure geometry; cell problems
-produce effective permeability, drag, and diffusion tensors; the limit flow
+Pipeline: stationary random paths drive the fissure geometry; the cell
+problems on the fissure cross-section produce the tube drag constant and the
+interface permeability, while the beds' own tensors are given; the limit flow
 problem couples two Darcy half-spaces through a fissure transmission law; the
 limit transport problem adds surface diffusion, advection, and an exchange
 condition across the fissure layer.  The verify module closes the loop with
@@ -25,10 +26,7 @@ from .fissure_transport import (  # noqa: F401
     vertical_velocity,
 )
 from .cell import (  # noqa: F401
-    CellMesh,
-    ObstacleSpec,
     compute_kstar,
-    solve_darcy_cell,
     solve_poisson_cell,
     solve_stokes_cell,
 )

@@ -170,15 +170,6 @@ def axis_neighbours(index: np.ndarray, axis: int):
     return index[lo].ravel(), index[hi].ravel()
 
 
-def two_point(rows, cols, vals, lo, hi, tau):
-    """Append the symmetric two-point flux tau * (u_lo - u_hi) between the
-    unknowns lo and hi: +tau on both diagonals, -tau off them."""
-    t = np.broadcast_to(np.asarray(tau, dtype=float), lo.shape)
-    rows.extend((lo, hi, lo, hi))
-    cols.extend((lo, hi, hi, lo))
-    vals.extend((t, t, -t, -t))
-
-
 def upwind(rows, cols, vals, lo, hi, flux):
     """Append first-order upwind advection across the faces between lo and
     hi; flux is the face-normal velocity times the face size, positive from
@@ -437,29 +428,6 @@ def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
         return inverse(x_hat, type=kind, axes=(0, 1), norm="ortho").ravel()
 
     return apply
-
-
-def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """CG with Jacobi preconditioner for SPD systems, to relative residual
-    1e-13 within 40 (sqrt(n) + 10) iterations; falls back to direct.
-
-    Raises RuntimeError only if both routes fail to reach the residual target.
-    """
-    A = A.tocsr()
-    n = A.shape[0]
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        return solve_sparse(A, b)[0]
-    M = sp.diags(1.0 / diag)
-    x, info = spla.cg(A, b, rtol=1e-13, atol=0.0, M=M,
-                      maxiter=40 * int(math.isqrt(n) + 10))
-    if info != 0:
-        x, _ = solve_sparse(A, b)
-    res = np.linalg.norm(A @ x - b)
-    scale = np.linalg.norm(b) + 1e-300
-    if not res / scale <= 1e-9:
-        raise RuntimeError(f"sparse solve residual {res/scale:.2e} too large")
-    return x
 
 
 def fit_loglog_slope(x, y) -> float:

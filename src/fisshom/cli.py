@@ -1,13 +1,14 @@
 """Pipeline driver: staged runs from one config file, with a run manifest.
 
-Stages: cell (effective tensors and the tube drag constant), flow (coupled
-two-bed filtration), transport (coupled contaminant exchange), fissure
-(resolved single-tube profile and census), ergodic (bracket estimates over
-growing horizons), sweep (convergence ladders).  Every stage writes
-deterministic files; reruns with the same config are byte-identical
-except for the manifest timestamp.  Exit codes: 0 success, 2 config error
-(recorded in a manifest when `--out` names the directory), 3 solver failure
-or crash, 4 acceptance-check failure.
+Stages: cell (the tube drag constant, the interface permeability, and SPD
+checks of the bed tensors, which the config gives), flow (coupled two-bed
+filtration), transport (coupled contaminant exchange), fissure (resolved
+single-tube profile and census), ergodic (bracket estimates over growing
+horizons), sweep (convergence ladders).  Every stage writes deterministic
+files; reruns with the same config are byte-identical except for the
+manifest timestamp.  Exit codes: 0 success, 2 config error (recorded in a
+manifest when `--out` names the directory), 3 solver failure or crash,
+4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import numpy as np
 
 from . import __version__
 from ._numerics import derive_seed, fit_loglog_slope
-from .cell import (CellMesh, compute_kstar, solve_darcy_cell,
-                   solve_poisson_cell, solve_scalar_cell_2d,
-                   solve_scalar_cell_3d, solve_stokes_cell)
+from .cell import compute_kstar, solve_poisson_cell, solve_stokes_cell
 from .config import ConfigError, ExperimentConfig, parse_config
 from .fissure_transport import (FissureODEConfig, build_profile,
                                 dual_route_gap, pair_brackets,
@@ -194,18 +193,8 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
             f"tube drag integral identity gap {torsion.identity_gap:.3e} "
             "exceeds 1e-8")
     drag = solve_stokes_cell(cfg.cell_resolution, torsion=torsion)
-    mesh3 = CellMesh(n=cfg.cell_volume_resolution, dim=3)
-    darcy_p = solve_darcy_cell(mesh3, permeability=np.diag(
-        cfg.flow["k_plus"]))
-    darcy_m = solve_darcy_cell(mesh3, permeability=np.diag(
-        cfg.flow["k_minus"]))
-    scalar = solve_scalar_cell_3d(mesh3, diffusivity=1.0)
-    scalar_gap = float(np.max(np.abs(scalar.tensor - np.eye(3))))
-    if not scalar_gap <= 1e-10:
-        raise CheckFailure(f"obstacle-free diffusion cell deviates from the "
-                           f"identity by {scalar_gap:.3e}")
-    mesh2 = CellMesh(n=cfg.cell_surface_resolution, dim=2)
-    surface = solve_scalar_cell_2d(mesh2)
+    k_plus = np.diag(cfg.flow["k_plus"])
+    k_minus = np.diag(cfg.flow["k_minus"])
     stats = ctx.stats
     report = {
         "resolution": cfg.cell_resolution,
@@ -214,22 +203,18 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         "k0_residual": torsion.residual,
         "k0_route": torsion.route,
         "drag": _spd_report("tube drag", drag.K_f),
-        "permeability_plus": _spd_report("upper permeability",
-                                         darcy_p.tensor),
-        "permeability_minus": _spd_report("lower permeability",
-                                          darcy_m.tensor),
-        "diffusion_identity_gap": scalar_gap,
+        "permeability_plus": _spd_report("upper permeability", k_plus),
+        "permeability_minus": _spd_report("lower permeability", k_minus),
         "diffusion_plus": _spd_report("upper diffusion",
                                       np.diag(cfg.transport["diff_plus"])),
         "diffusion_minus": _spd_report("lower diffusion",
                                        np.diag(cfg.transport["diff_minus"])),
-        "surface_diffusion": _spd_report("surface diffusion", surface.tensor),
         "interface_permeability_plus": _spd_report(
             "interface permeability (upper)",
-            compute_kstar(stats, np.diag(cfg.flow["k_plus"]))),
+            compute_kstar(stats, k_plus)),
         "interface_permeability_minus": _spd_report(
             "interface permeability (lower)",
-            compute_kstar(stats, np.diag(cfg.flow["k_minus"]))),
+            compute_kstar(stats, k_minus)),
         "brackets": {"mean_q": stats.mean_q, "mean_q2": stats.mean_q2,
                      "mean_inv_q2": stats.mean_inv_q2,
                      "mean_r": stats.mean_r, "stderr": stats.stderr},

@@ -36,7 +36,7 @@ from fisshom import limit_flow, limit_transport
 from fisshom._numerics import (axis_neighbours, coo_square, fsum,
                                gauss_legendre, kronecker_sum,
                                mode_eigenvalues, panel_quadrature, pin_rows,
-                               solve_sparse, two_point)
+                               solve_sparse)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
@@ -76,23 +76,6 @@ def eta0_series(x, y, terms: int = 200):
     M, N = np.meshgrid(m, m, indexing="ij")
     coef = np.multiply.outer(b, b) / (math.pi**2 * (M**2 + N**2))
     return np.einsum("...m,mn,...n->...", cx, coef, cy)
-
-
-def laminate_tensor_1d(k_func, axis: int, dim: int, n_quad: int = 4001):
-    """Effective tensor of a diagonal conductivity varying along one axis.
-
-    Harmonic mean along the variation axis, arithmetic mean transverse.
-    k_func maps the coordinate in (-1/2, 1/2) to the (dim,) diagonal.
-    """
-    z = np.linspace(-0.5, 0.5, n_quad)
-    vals = np.array([k_func(t) for t in z], dtype=float)  # (n, dim)
-    out = np.zeros(dim)
-    for d in range(dim):
-        if d == axis:
-            out[d] = 1.0 / np.trapezoid(1.0 / vals[:, d], z)
-        else:
-            out[d] = np.trapezoid(vals[:, d], z)
-    return np.diag(out)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +214,15 @@ def pair_averages_per_tube(fissures, panels_per_period=6.0):
         rbar[k] = (1.0 / qq) @ w / h
         q0[k] = float(f.line_x1.width(0.0)) * float(f.line_x2.width(0.0))
     return qbar, rbar, q0
+
+
+def two_point(rows, cols, vals, lo, hi, tau):
+    """Append the symmetric two-point flux tau * (u_lo - u_hi) between the
+    unknowns lo and hi: +tau on both diagonals, -tau off them."""
+    t = np.broadcast_to(np.asarray(tau, dtype=float), lo.shape)
+    rows.extend((lo, hi, lo, hi))
+    cols.extend((lo, hi, hi, lo))
+    vals.extend((t, t, -t, -t))
 
 
 def limit_flow_coo(cfg, bc):

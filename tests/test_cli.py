@@ -4,6 +4,7 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fisshom import __version__, cli
@@ -12,7 +13,7 @@ from fisshom.config import ConfigError, default_config, parse_config
 
 SMALL = """
 run: {{base_seed: 7, output_dir: "{out}"}}
-cell: {{resolution: 64, volume_resolution: 8, surface_resolution: 16}}
+cell: {{resolution: 64}}
 flow: {{shape: [6, 5, 6, 6]}}
 transport: {{shape: [5, 4, 5, 5]}}
 geometry: {{epsilon: 0.125}}
@@ -118,6 +119,16 @@ def test_overrides_pass_through_validation():
         parse_config(text="", overrides={"cell": {"resolution": 8}})
 
 
+def test_retired_cell_keys_are_checked_and_dropped():
+    with pytest.raises(ConfigError, match=r"cell\.volume_resolution.*>= 4"):
+        parse_config(text="cell:\n  volume_resolution: 2\n")
+    with pytest.raises(ConfigError, match=r"cell\.surface_resolution.*>= 8"):
+        parse_config(text="cell:\n  surface_resolution: 2\n")
+    cfg = parse_config(text="cell: {volume_resolution: 6, "
+                            "surface_resolution: 16}\n")
+    assert cfg.config_hash() == default_config().config_hash()
+
+
 def test_config_hash_tracks_content():
     a = default_config().config_hash()
     b = default_config().config_hash()
@@ -189,7 +200,7 @@ def test_solver_error_skips_dependents(tmp_path):
     # which must surface as a stage failure, not a crash
     cfg = parse_config(text=f"""
 run: {{output_dir: "{out}"}}
-cell: {{resolution: 64, volume_resolution: 8, surface_resolution: 16}}
+cell: {{resolution: 64}}
 """)
     cfg = replace(cfg, flow={**cfg.flow, "shape": [4, 4, 2, 2]})
     assert run(cfg, "transport") == 3
@@ -281,8 +292,7 @@ def test_main_config_error_writes_manifest(tmp_path, capsys):
 
 def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.yaml"
-    cfgfile.write_text("cell: {resolution: 48, volume_resolution: 6, "
-                       "surface_resolution: 16}\n")
+    cfgfile.write_text("cell: {resolution: 48}\n")
     out = tmp_path / "results"
     code = main(["cell", "--config", str(cfgfile), "--out", str(out),
                  "--resolution", "64", "--seed", "3"])
@@ -291,6 +301,14 @@ def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):
     assert report["resolution"] == 64
     assert report["k0"] == pytest.approx(0.035144, abs=5e-4)
     assert report["k0_route"] == "dst1" and report["k0_residual"] <= 1e-9
+    assert set(report) == {
+        "resolution", "k0", "k0_identity_gap", "k0_residual", "k0_route",
+        "drag", "permeability_plus", "permeability_minus", "diffusion_plus",
+        "diffusion_minus", "interface_permeability_plus",
+        "interface_permeability_minus", "brackets"}
+    # the bed tensors are the config's diagonals, bit for bit
+    k_plus = np.diag(default_config().flow["k_plus"])
+    assert np.array_equal(report["permeability_plus"]["tensor"], k_plus)
     assert "[cell] ok" in capsys.readouterr().out
 
 

@@ -3,21 +3,27 @@
 Checked are every module-level function or class of `_numerics`, and every
 `_`-prefixed one elsewhere in the package: something outside its own
 definition must read it.  Public names of the other modules are the
-package's interface and may be read only by callers.
+package's interface and may be read only by callers.  Every field of
+`ExperimentConfig` must likewise be read, as an attribute, by library code
+outside `config.py`: a config key that no solver reads is dead too.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from fisshom.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fisshom"
 
 
-def _reads(node) -> Counter:
-    """Names read under `node`, as bare names or attributes."""
+def _reads(node, bare: bool = True) -> Counter:
+    """Names read under `node`, as attributes and, with `bare`, as bare
+    names."""
     out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+        if bare and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out[n.attr] += 1
@@ -66,3 +72,12 @@ def test_detector_flags_only_unread_helpers():
 def test_every_helper_has_a_library_reader():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_definitions(sources, _checked) == []
+
+
+def test_every_config_field_has_a_library_reader():
+    reads = Counter()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            reads += _reads(ast.parse(path.read_text()), bare=False)
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert [name for name in names if not reads[name]] == []
