@@ -2,8 +2,9 @@
 random vertical fissures.
 
 Pipeline: stationary random paths drive the fissure geometry; the cell
-problems on the fissure cross-section produce the tube drag constant and the
-interface permeability, while the beds' own tensors are given; the limit flow
+problem on the fissure cross-section produces the tube drag constant, from
+which the drag tensor and the interface permeability follow in closed form,
+while the beds' own tensors are given; the limit flow
 problem couples two Darcy half-spaces through a fissure transmission law; the
 limit transport problem adds surface diffusion, advection, and an exchange
 condition across the fissure layer.  The verify module closes the loop with
@@ -28,7 +29,6 @@ from .fissure_transport import (  # noqa: F401
 from .cell import (  # noqa: F401
     compute_kstar,
     solve_poisson_cell,
-    solve_stokes_cell,
 )
 from .fissures import (  # noqa: F401
     Fissure,

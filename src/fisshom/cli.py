@@ -21,18 +21,19 @@ import resource
 import sys
 import time
 import traceback
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from ._numerics import derive_seed, fit_loglog_slope
-from .cell import compute_kstar, solve_poisson_cell, solve_stokes_cell
+from .cell import compute_kstar, solve_poisson_cell
 from .config import ConfigError, ExperimentConfig, parse_config
 from .fissure_transport import (FissureODEConfig, build_profile,
                                 dual_route_gap, pair_brackets,
                                 transmission_coeffs)
 from .fissures import GeometryParams, enumerate_fissures, fissure_census
-from .limit_flow import FlowBC, FlowConfig, solve_limit_flow
+from .limit_flow import FlowBC, FlowConfig, series_gap, solve_limit_flow
 from .limit_transport import (TransportConfig, mass_balance_gap,
                               solve_limit_transport)
 from .stochastic import PhaseSequence, build_path, estimate_brackets
@@ -128,44 +129,35 @@ class _Context:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._cache: dict = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def q_path(self):
-        return self._get("q", lambda: build_path(self.cfg.aperture))
+        return build_path(self.cfg.aperture)
 
-    @property
+    @cached_property
     def r_path(self):
-        return self._get("r", lambda: build_path(self.cfg.centerline))
+        return build_path(self.cfg.centerline)
 
-    @property
+    @cached_property
     def stats(self):
-        return self._get("stats", lambda: estimate_brackets(
-            self.q_path, 2.0e3, r_path=self.r_path,
-            window_len=self.cfg.ergodic["window_len"]))
+        return estimate_brackets(self.q_path, 2.0e3, r_path=self.r_path,
+                                 window_len=self.cfg.ergodic["window_len"])
 
-    @property
+    @cached_property
     def torsion(self):
-        return self._get("torsion", lambda: solve_poisson_cell(
-            self.cfg.cell_resolution))
+        return solve_poisson_cell(self.cfg.cell_resolution)
 
-    @property
+    @cached_property
     def geometry(self) -> GeometryParams:
-        return self._get("geom", lambda: GeometryParams(
+        return GeometryParams(
             epsilon=self.cfg.epsilon, theta=self.cfg.theta,
             height=self.cfg.h_length, x1_extent=self.cfg.x1_extent,
-            x2_extent=self.cfg.x2_extent))
+            x2_extent=self.cfg.x2_extent)
 
-    @property
+    @cached_property
     def phases(self) -> PhaseSequence:
-        return self._get("phases", lambda: PhaseSequence(
-            bound=self.cfg.phase_bound,
-            seed=derive_seed(self.cfg.base_seed, 3)))
+        return PhaseSequence(bound=self.cfg.phase_bound,
+                             seed=derive_seed(self.cfg.base_seed, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +184,6 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         raise CheckFailure(
             f"tube drag integral identity gap {torsion.identity_gap:.3e} "
             "exceeds 1e-8")
-    drag = solve_stokes_cell(cfg.cell_resolution, torsion=torsion)
     k_plus = np.diag(cfg.flow["k_plus"])
     k_minus = np.diag(cfg.flow["k_minus"])
     stats = ctx.stats
@@ -202,7 +193,7 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         "k0_identity_gap": torsion.identity_gap,
         "k0_residual": torsion.residual,
         "k0_route": torsion.route,
-        "drag": _spd_report("tube drag", drag.K_f),
+        "drag": _spd_report("tube drag", torsion.k0 * np.eye(2)),
         "permeability_plus": _spd_report("upper permeability", k_plus),
         "permeability_minus": _spd_report("lower permeability", k_minus),
         "diffusion_plus": _spd_report("upper diffusion",
@@ -210,11 +201,9 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         "diffusion_minus": _spd_report("lower diffusion",
                                        np.diag(cfg.transport["diff_minus"])),
         "interface_permeability_plus": _spd_report(
-            "interface permeability (upper)",
-            compute_kstar(stats, k_plus)),
+            "interface permeability (upper)", compute_kstar(stats, k_plus)),
         "interface_permeability_minus": _spd_report(
-            "interface permeability (lower)",
-            compute_kstar(stats, k_minus)),
+            "interface permeability (lower)", compute_kstar(stats, k_minus)),
         "brackets": {"mean_q": stats.mean_q, "mean_q2": stats.mean_q2,
                      "mean_inv_q2": stats.mean_inv_q2,
                      "mean_r": stats.mean_r, "stderr": stats.stderr},
@@ -243,10 +232,14 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
     if not cont <= 1e-8:
         raise CheckFailure(f"flow interface flux continuity gap {cont:.3e} "
                            "exceeds 1e-8")
+    series = series_gap(sol, bc) if bc.kind == "pressure_ends" else None
+    if series is not None and not series <= 1e-12:
+        raise CheckFailure(f"flow series gap {series:.3e} exceeds 1e-12")
     report = {
         "route": sol.route,
         "residual": sol.residual,
         "flux_continuity_gap": cont,
+        "series_gap": series,
         "coupling": flow_cfg.coupling,
         "k0": flow_cfg.k0,
         "mean_p_minus": sol.mean_p_minus,
@@ -258,12 +251,9 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
     }
     _write_json(os.path.join(outdir, "flow.json"), report)
     x1, x2 = flow_cfg.horizontal_centers()
-    rows = []
-    for a in range(len(x1)):
-        for b in range(len(x2)):
-            rows.append((a, b, x1[a], x2[b], sol.trace_plus[a, b],
-                         sol.trace_minus[a, b], sol.interface_flux[a, b],
-                         sol.tube_velocity[a, b]))
+    rows = [(a, b, x1[a], x2[b], sol.trace_plus[a, b], sol.trace_minus[a, b],
+             sol.interface_flux[a, b], sol.tube_velocity[a, b])
+            for a in range(len(x1)) for b in range(len(x2))]
     _write_csv(os.path.join(outdir, "flow_interface.csv"),
                ("i", "j", "x1", "x2", "trace_plus", "trace_minus",
                 "interface_flux", "tube_velocity"), rows)
@@ -298,6 +288,7 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
         raise CheckFailure(f"negative concentration {lo:.3e} under "
                            "nonnegative boundary data")
     flux_top, flux_bottom = sol.exchange_fluxes()
+    mean_top, mean_bottom = sol.mean_exchange_fluxes()
     report = {
         "route": sol.route,
         "iterations": sol.iterations,
@@ -308,17 +299,14 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
                      "cosh_factor": exchange.cosh_factor,
                      "advective_factor": exchange.advective_factor,
                      "screening_rate": exchange.r_hat},
-        "mean_flux_top": float(np.mean(flux_top)),
-        "mean_flux_bottom": float(np.mean(flux_bottom)),
+        "mean_flux_top": mean_top,
+        "mean_flux_bottom": mean_bottom,
     }
     _write_json(os.path.join(outdir, "transport.json"), report)
     x1, x2, _ = tr_cfg.vertex_axes("plus")
-    rows = []
-    for a in range(len(x1)):
-        for b in range(len(x2)):
-            rows.append((a, b, x1[a], x2[b], sol.trace_plus[a, b],
-                         sol.trace_minus[a, b], flux_top[a, b],
-                         flux_bottom[a, b]))
+    rows = [(a, b, x1[a], x2[b], sol.trace_plus[a, b], sol.trace_minus[a, b],
+             flux_top[a, b], flux_bottom[a, b])
+            for a in range(len(x1)) for b in range(len(x2))]
     _write_csv(os.path.join(outdir, "transport_traces.csv"),
                ("i", "j", "x1", "x2", "u_plus_trace", "u_minus_trace",
                 "flux_top", "flux_bottom"), rows)

@@ -340,10 +340,9 @@ def transmission_coeffs(diffusion: float, reaction: float, v3: float,
     r_hat = math.sqrt(reaction * mean_qq * inv_resistance)
     if r_hat * height < 1e-8:
         scale = 1.0 / (height * inv_resistance)
-        cosh_f = math.cosh(r_hat * height)
     else:
         scale = r_hat / (inv_resistance * math.sinh(r_hat * height))
-        cosh_f = math.cosh(r_hat * height)
+    cosh_f = math.cosh(r_hat * height)
     advective = math.exp(height * v3 / diffusion)
     return TransmissionCoeffs(exchange_scale=scale, cosh_factor=cosh_f,
                               advective_factor=advective, r_hat=r_hat)

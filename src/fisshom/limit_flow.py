@@ -357,3 +357,29 @@ def _solution(cfg: FlowConfig, p_plus, p_minus, residual: float,
         trace_plus=trace_plus, trace_minus=trace_minus,
         interface_flux=V, tube_velocity=tube,
         mean_p_minus=float(p_minus.mean()), residual=residual, route=route)
+
+
+def series_gap(sol: LimitFlowSolution, bc: FlowBC) -> float:
+    """Gap from the 1-D series problem, which every column solves exactly
+    under "pressure_ends" with constant end pressures: with resistance
+    R = d+ mu+/k+3 + 1/lam + d- mu-/k-3, the flux is
+    q = (p_top - p_bottom - g+ d+ - g- d-) / R and the traces are
+    p_top - q d+ mu+/k+3 - g+ d+ and p_bottom + q d- mu-/k-3 + g- d-.
+    The worst of R |V - q| and the trace gaps, over the pressure scale
+    1 + |p_top| + |p_bottom| + |g+ d+| + |g- d-|, which cannot be 0."""
+    if bc.kind != "pressure_ends":
+        raise ValueError("the series solution needs pressure_ends data")
+    cfg = sol.config
+    p_top, p_bottom = float(bc.p_top), float(bc.p_bottom)
+    res_p = cfg.depth_plus * cfg.mu_plus / cfg.k_plus[2]
+    res_m = cfg.depth_minus * cfg.mu_minus / cfg.k_minus[2]
+    drop_p = cfg.gravity_plus * cfg.depth_plus
+    drop_m = cfg.gravity_minus * cfg.depth_minus
+    resistance = res_p + 1.0 / cfg.coupling + res_m
+    q = (p_top - p_bottom - drop_p - drop_m) / resistance
+    gap = max(resistance * np.max(np.abs(sol.interface_flux - q)),
+              np.max(np.abs(sol.trace_plus - (p_top - q * res_p - drop_p))),
+              np.max(np.abs(sol.trace_minus
+                            - (p_bottom + q * res_m + drop_m))))
+    scale = 1.0 + abs(p_top) + abs(p_bottom) + abs(drop_p) + abs(drop_m)
+    return float(gap) / scale

@@ -57,7 +57,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag
 
 from ._numerics import (TensorOperator, axis_halves, axis_neighbours,
-                        check_interval, checked_residual, coo_square,
+                        check_interval, checked_residual, coo_square, fsum,
                         kronecker_sum, on_grid, pin_rows, positive_diagonal,
                         separable_factors, separable_inverse, solve_separable,
                         solve_sparse, stiffness, upwind)
@@ -298,6 +298,13 @@ class TransportSolution:
         ex = self.config.exchange
         return (ex.flux_top(self.trace_plus, self.trace_minus),
                 ex.flux_bottom(self.trace_plus, self.trace_minus))
+
+    def mean_exchange_fluxes(self) -> tuple[float, float]:
+        """Means of the two exchange fluxes over the interface plane,
+        weighted by the vertex control-volume areas."""
+        area = _BedMesh(self.config, "plus").plane_area()
+        return tuple(fsum(area * flux) / fsum(area)
+                     for flux in self.exchange_fluxes())
 
     def extrema(self) -> tuple[float, float]:
         lo = min(float(self.u_plus.min()), float(self.u_minus.min()))

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._numerics import (derive_seed, fit_loglog_slope, fsum, sym_inv_sqrt,
                         uniform_from_hash)
-from .cell import DragCell, compute_kstar, solve_stokes_cell
+from .cell import TorsionCell, compute_kstar, solve_poisson_cell
 from .fissure_transport import (FissureODEConfig, PairBrackets,
                                 fine_interface_fluxes, limit_comparison,
                                 pair_brackets, transmission_coeffs)
@@ -210,17 +210,18 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
                          params_q: ProcessParams = APERTURE_FAST,
                          params_r: ProcessParams = CENTERLINE_DEFAULT,
                          phase_bound: float = PHASE_BOUND,
-                         drag: DragCell | None = None) -> SweepSummary:
+                         torsion: TorsionCell | None = None) -> SweepSummary:
     """Scaled fissure energy of a constant trial velocity against its limit.
 
     Per fissure the three pieces are
 
-        tangential  mu_f eps^2 h (Qbar / <q>^2) c . G c,  c = K_f^{-1} v_tau
+        tangential  mu_f eps^2 h (Qbar / <q>^2) c . G c,  c = v_tau / k0
         vertical    mu_f eps^2 h (Qbar Rbar / k0) v3^2
         slip        gamma eps^2 q_i(0) q_j(0)  B v_tau . v_tau
 
-    with B the sum of the inverse square roots of the two mid-plane
-    permeability footprints.  The limit replaces the lattice sums by
+    with k0 I the drag tensor, G = k0_energy I the corrector energy form and
+    B the sum of the inverse square roots of the two mid-plane permeability
+    footprints.  The limit replaces the lattice sums by
     <q^2> |Sigma| and the per-tube averages by the process brackets.  The
     drag tensor and k0 appear identically on both sides, so the reported
     error probes only the geometry averaging, not the cell solve.
@@ -243,15 +244,14 @@ def energy_density_sweep(eps_values=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
     """
     mu_fissure, slip_gamma = 0.05, 0.05
     stats = reference_stats(params_q, params_r)
-    cell = drag if drag is not None else solve_stokes_cell(96)
+    cell = torsion if torsion is not None else solve_poisson_cell(96)
     k0 = cell.k0
     v_tau = np.asarray(test_field[:2], dtype=float)
     v3 = float(test_field[2])
-    c = np.linalg.solve(cell.K_f, v_tau)
-    tan_coeff = float(c @ cell.gram @ c)
-    slip_mat = np.zeros((2, 2))
-    for k_bed in (1.3, 0.8):
-        slip_mat += sym_inv_sqrt(compute_kstar(stats, k_bed)[:2, :2])
+    c = v_tau / k0
+    tan_coeff = float((c * cell.k0_energy) @ c)
+    slip_mat = sum(sym_inv_sqrt(compute_kstar(stats, k * np.eye(3))[:2, :2])
+                   for k in (1.3, 0.8))
     slip_coeff = float(v_tau @ slip_mat @ v_tau)
 
     area = 1.0  # unit mid-plane rectangle

@@ -309,6 +309,8 @@ def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):
     # the bed tensors are the config's diagonals, bit for bit
     k_plus = np.diag(default_config().flow["k_plus"])
     assert np.array_equal(report["permeability_plus"]["tensor"], k_plus)
+    # the drag tensor is the closed form k0 I, bit for bit
+    assert np.array_equal(report["drag"]["tensor"], report["k0"] * np.eye(2))
     assert "[cell] ok" in capsys.readouterr().out
 
 

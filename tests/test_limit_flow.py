@@ -1,6 +1,7 @@
 """Coupled two-bed Darcy solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fisshom._numerics import (_mode_matrix, fit_loglog_slope, kronecker_sum,
 from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
+    series_gap,
     solve_limit_flow,
 )
 from fisshom.stochastic import constant_stats
@@ -112,6 +114,21 @@ def test_series_resistance_with_gravity():
     a_minus = p_bottom + (g + V / km) * cfg.depth_minus
     exact = a_minus + (g + V / km) * (z + cfg.height)
     assert np.max(np.abs(sol.p_minus[0, 0, :] - exact)) < 1e-10
+
+
+def test_series_gap_is_roundoff_and_catches_a_wrong_coupling():
+    cfg = base_config(gravity_plus=0.7, gravity_minus=-0.3)
+    bc = FlowBC(kind="pressure_ends", p_top=2.5, p_bottom=-0.5)
+    sol = solve_limit_flow(cfg, bc)
+    assert series_gap(sol, bc) <= 1e-14
+    # a coupling off by 1e-6 relative, between solve and closed form
+    wrong = replace(sol, config=replace(cfg, k0=cfg.k0 * (1.0 + 1e-6)))
+    assert series_gap(wrong, bc) > 1e-10
+    # zero data: a zero solution and a scale that is still 1
+    still = FlowBC(kind="pressure_ends", p_top=0.0, p_bottom=0.0)
+    assert series_gap(solve_limit_flow(base_config(), still), still) == 0.0
+    with pytest.raises(ValueError, match="pressure_ends"):
+        series_gap(sol, FlowBC(kind="closed"))
 
 
 def test_closed_gauge_and_conservation():

@@ -278,6 +278,18 @@ def test_exchange_moves_mass_downward():
     assert float(sol.u_minus.max()) < 1.0
 
 
+def test_mean_exchange_fluxes_weight_by_control_volume():
+    cfg = base_config(shape=(6, 4, 6, 6), bc_plus=1.0, bc_minus=0.0)
+    sol = solve_limit_transport(cfg)
+    w = np.outer(np.r_[0.5, np.ones(5), 0.5], np.r_[0.5, np.ones(3), 0.5])
+    w /= w.sum()
+    for flux, mean in zip(sol.exchange_fluxes(), sol.mean_exchange_fluxes()):
+        assert mean == pytest.approx(float(np.sum(w * flux)), rel=1e-14)
+        # the edge vertices carry the lateral boundary data, so the plain
+        # vertex mean is a different number
+        assert abs(mean - float(np.mean(flux))) > 1e-6
+
+
 def test_surface_diffusion_flattens_trace():
     src = lambda x1, x2, x3: np.exp(-40.0 * ((x1 - 0.5) ** 2
                                              + (x2 - 0.5) ** 2))
