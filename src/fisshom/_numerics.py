@@ -355,26 +355,26 @@ def mode_eigenvalues(m: int, basis: str) -> np.ndarray:
 
 def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                  m1: int, m2: int, basis: str,
-                 pin: int | None = None) -> sp.csr_matrix:
+                 pin: int | None = None) -> sp.csc_matrix:
     """The mode-major block matrix kron(I, C) + diags(mu1 h1 + mu2 h2) of an
     (m1, m2) horizontal grid in `basis`, one column block per mode, written
-    directly in CSR with the entries and pattern of that sum: C off the
-    diagonal, C + shift on it, exact zeros dropped.  `pin` names a row of
-    mode (0, 0) that becomes the gauge row x = 0."""
+    directly in CSC (SuperLU's format) with the entries and pattern of that
+    sum: C off the diagonal, C + shift on it, exact zeros dropped.  `pin`
+    names a row of mode (0, 0) that becomes the gauge row x = 0."""
     nz = C.shape[0]
     shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
              + mode_eigenvalues(m2, basis)[None, :, None] * h2
              ).reshape(-1, nz)
-    # the pattern of one block in CSR order, with its whole diagonal
-    r, c = np.nonzero((C != 0) | np.eye(nz, dtype=bool))
+    # the pattern of one block in CSC order, with its whole diagonal
+    c, r = np.nonzero(((C != 0) | np.eye(nz, dtype=bool)).T)
     vals = np.tile(C[r, c], (len(shift), 1))
     vals[:, r == c] += shift
     if pin is not None:
         vals[0, r == pin] = 0.0
         vals[0, (r == pin) & (c == pin)] = 1.0
-    counts = np.tile(np.bincount(r, minlength=nz), len(shift))
-    M = sp.csr_matrix((vals.ravel(),
-                       (nz * np.arange(len(shift))[:, None] + c).ravel(),
+    counts = np.tile(np.bincount(c, minlength=nz), len(shift))
+    M = sp.csc_matrix((vals.ravel(),
+                       (nz * np.arange(len(shift))[:, None] + r).ravel(),
                        np.concatenate(([0], np.cumsum(counts)))),
                       shape=(shift.size,) * 2)
     M.eliminate_zeros()
@@ -419,7 +419,7 @@ def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     """
     forward, inverse, kind, _ = _BASES[basis]
     M = _mode_matrix(C, h1, h2, shape[0], shape[1], basis)
-    lu = spla.splu(M.tocsc(), **_BANDED_LU)
+    lu = spla.splu(M, **_BANDED_LU)
 
     def apply(r: np.ndarray) -> np.ndarray:
         r_hat = forward(r.reshape(shape), type=kind, axes=(0, 1),

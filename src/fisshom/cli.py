@@ -39,10 +39,6 @@ from .limit_transport import (TransportConfig, mass_balance_gap,
 from .stochastic import PhaseSequence, build_path, estimate_brackets
 from .verify import run_sweep
 
-STAGES = ("cell", "flow", "transport", "fissure", "ergodic", "sweep")
-_DEPS = {"flow": ("cell",), "transport": ("cell", "flow")}
-
-
 class CheckFailure(Exception):
     """A solved stage violated one of its acceptance gates.
 
@@ -418,9 +414,22 @@ def _stage_sweep(ctx: _Context, outdir: str) -> list[str]:
     return files
 
 
-_STAGE_FN = {"cell": _stage_cell, "flow": _stage_flow,
-             "transport": _stage_transport, "fissure": _stage_fissure,
-             "ergodic": _stage_ergodic, "sweep": _stage_sweep}
+# name: (function, every stage it needs, help line), in run order.  The
+# transport stage needs no flow output: it reads no computed velocity.
+_STAGE_TABLE = {
+    "cell": (_stage_cell, (), "effective tensors and the tube drag constant"),
+    "flow": (_stage_flow, ("cell",),
+             "coupled two-bed filtration with the fissure transmission "
+             "condition"),
+    "transport": (_stage_transport, ("cell",),
+                  "coupled contaminant transport with the exchange law"),
+    "fissure": (_stage_fissure, (),
+                "resolved single-tube profile and the fissure census"),
+    "ergodic": (_stage_ergodic, (), "bracket estimates over growing horizons"),
+    "sweep": (_stage_sweep, (),
+              "convergence ladders against the effective model"),
+}
+STAGES = tuple(_STAGE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +439,7 @@ _STAGE_FN = {"cell": _stage_cell, "flow": _stage_flow,
 def _ordered_stages(subcommand: str) -> list[str]:
     if subcommand == "all":
         return list(STAGES)
-    wanted = set(_DEPS.get(subcommand, ())) | {subcommand}
+    wanted = set(_STAGE_TABLE[subcommand][1]) | {subcommand}
     return [s for s in STAGES if s in wanted]
 
 
@@ -465,14 +474,15 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
     all_files: list[str] = []
     failed: set[str] = set()
     for stage in _ordered_stages(subcommand):
-        if any(d in failed for d in _DEPS.get(stage, ())):
+        fn, needs, _ = _STAGE_TABLE[stage]
+        if any(d in failed for d in needs):
             steps.append({"name": stage, "status": "skipped",
                           "detail": "prerequisite failed", "outputs": []})
             print(f"[{stage}] skipped (prerequisite failed)", file=stream)
             continue
         t0 = time.perf_counter()
         try:
-            files = _STAGE_FN[stage](ctx, outdir)
+            files = fn(ctx, outdir)
             status, detail = "ok", ""
         except CheckFailure as exc:
             files, status, detail = exc.files, "check_failed", str(exc)
@@ -522,16 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--resolution", metavar="N", type=int, default=None,
                         help="override cell.resolution")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "cell": "effective tensors and the tube drag constant",
-        "flow": "coupled two-bed filtration with the fissure transmission "
-                "condition",
-        "transport": "coupled contaminant transport with the exchange law",
-        "fissure": "resolved single-tube profile and the fissure census",
-        "ergodic": "bracket estimates over growing horizons",
-        "sweep": "convergence ladders against the effective model",
-        "all": "every stage in dependency order",
-    }
+    descriptions = {name: entry[2] for name, entry in _STAGE_TABLE.items()}
+    descriptions["all"] = "every stage in dependency order"
     for name, desc in descriptions.items():
         sub.add_parser(name, parents=[common], help=desc, description=desc)
     return parser

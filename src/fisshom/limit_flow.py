@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._numerics import (TensorOperator, check_interval, checked_residual,
                         on_grid, positive_diagonal, separable_factors,
@@ -265,7 +264,8 @@ def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
     bedm = _Bed(cfg, "minus")
     n1, n2, nzp, nzm = cfg.shape
     b = np.zeros((n1, n2, nzp + nzm))
-    blocks, g = [], []
+    cz = np.zeros((nzp + nzm,) * 2)
+    g = []
     for bed, src in ((bedm, source_minus), (bedp, source_plus)):
         _bed_rhs(bed, bc, b[:, :, bed.layers])
         if src is not None:
@@ -274,11 +274,10 @@ def _assemble_system(cfg: FlowConfig, bc: FlowBC, source_plus,
         nz = bed.shape[2]
         kz = bed.kappa[2] / bed.d3
         outer = 0.0 if bc.kind == "closed" else 2.0 * kz
-        blocks.append(stiffness(np.full(nz - 1, kz),
-                                (outer, 0.0) if bed.side == "minus"
-                                else (0.0, outer)))
+        cz[bed.layers, bed.layers] = stiffness(
+            np.full(nz - 1, kz),
+            (outer, 0.0) if bed.side == "minus" else (0.0, outer))
         g.append(np.multiply.outer(bed.kappa[:2] * bed.d3, np.ones(nz)))
-    cz = block_diag(*blocks)
     # interface transmission V = c1 r1 + c2 r2 per unit area, with
     # r1 = g_p - 9 gam_p p0+ + gam_p p1+ ; r2 = g_m + 9 gam_m p0- - gam_m p1-
     ts = _trace_system(cfg)

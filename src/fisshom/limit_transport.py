@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import block_diag
 
 from ._numerics import (TensorOperator, axis_halves, axis_neighbours,
                         check_interval, checked_residual, coo_square, fsum,
@@ -225,13 +224,13 @@ def _operator(cfg: TransportConfig, meshp: _BedMesh,
     two-point diffusion and reaction in each bed, the exchange block
     between the two interface vertices, and surface spreading in the
     horizontal conductances of the upper one."""
-    blocks, g = [], []
+    cz = np.zeros((meshp.layers.stop,) * 2)
+    g = []
     for mesh in (meshm, meshp):
         x3, w3 = mesh.axes[2], mesh.widths[2]
-        blocks.append(stiffness(mesh.diff[2] / np.diff(x3))
-                      + np.diag(mesh.reaction * w3))
+        cz[mesh.layers, mesh.layers] = (stiffness(mesh.diff[2] / np.diff(x3))
+                                        + np.diag(mesh.reaction * w3))
         g.append(np.multiply.outer(mesh.diff[:2], w3))
-    cz = block_diag(*blocks)
     g = np.concatenate(g, axis=1)
     # top flux leaves the upper bed, bottom flux enters the lower bed
     P = meshp.layers.start

@@ -362,8 +362,8 @@ def poisson_cell_splu(n):
 def mode_matrix_kron(C, h1, h2, m1, m2, basis):
     """The mode matrix of the separable solve in Kronecker form,
     kron(I, C) + diags(mu1 h1 + mu2 h2), one column block per mode of the
-    (m1, m2) horizontal grid in `basis`."""
+    (m1, m2) horizontal grid in `basis`, in CSC as SuperLU takes it."""
     shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
              + mode_eigenvalues(m2, basis)[None, :, None] * h2)
     return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
-            + sp.diags(shift.ravel())).tocsr()
+            + sp.diags(shift.ravel())).tocsc()

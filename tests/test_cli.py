@@ -188,26 +188,32 @@ def test_single_stage_with_dependencies(tmp_path):
     assert flow["residual"] <= 1e-9
     assert flow["flux_continuity_gap"] <= 1e-8
     assert run(cfg, "transport") == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert [s["name"] for s in man["steps"]] == ["cell", "transport"]
     transport = json.loads((out / "transport.json").read_text())
     assert transport["route"] == "separable"
     assert transport["iterations"] == 0
 
 
 def test_solver_error_skips_dependents(tmp_path):
-    out = tmp_path / "out"
     # the flow model needs three vertical cells per bed; the schema rejects
     # two, so the config is edited past it to reach the solver's own check,
     # which must surface as a stage failure, not a crash
-    cfg = parse_config(text=f"""
-run: {{output_dir: "{out}"}}
-cell: {{resolution: 64}}
-""")
-    cfg = replace(cfg, flow={**cfg.flow, "shape": [4, 4, 2, 2]})
-    assert run(cfg, "transport") == 3
-    man = json.loads((out / "manifest.json").read_text())
-    statuses = {s["name"]: s["status"] for s in man["steps"]}
-    assert statuses == {"cell": "ok", "flow": "solver_error",
-                        "transport": "skipped"}
+    cfg = small_config(tmp_path / "out")
+    broken_flow = replace(cfg, flow={**cfg.flow, "shape": [4, 4, 2, 2]})
+    # an indefinite bed permeability fails the cell stage's SPD check
+    broken_cell = replace(cfg, flow={**cfg.flow, "k_plus": [-1.0, 1.0, 1.0]})
+    rest = {"fissure": "ok", "ergodic": "ok", "sweep": "ok"}
+    for broken, code, statuses in (
+            # transport reads nothing the flow stage computes, so it runs
+            (broken_flow, 3, {"cell": "ok", "flow": "solver_error",
+                              "transport": "ok", **rest}),
+            (broken_cell, 4, {"cell": "check_failed", "flow": "skipped",
+                              "transport": "skipped", **rest})):
+        out = tmp_path / f"out{code}"
+        assert run(broken, "all", out_dir=str(out)) == code
+        man = json.loads((out / "manifest.json").read_text())
+        assert {s["name"]: s["status"] for s in man["steps"]} == statuses
 
 
 def test_sweep_gate_failure_returns_four(tmp_path):
@@ -233,14 +239,14 @@ def test_crashed_stage_still_writes_manifest(tmp_path, monkeypatch):
     def broken(ctx, outdir):
         raise TypeError("unexpected argument")
 
-    monkeypatch.setitem(cli._STAGE_FN, "flow", broken)
+    monkeypatch.setitem(cli._STAGE_TABLE, "flow",
+                        (broken, ("cell",), "crashes"))
     out = tmp_path / "out"
     cfg = small_config(out)
-    assert run(cfg, "transport") == 3
+    assert run(cfg, "flow") == 3
     man = json.loads((out / "manifest.json").read_text())
     steps = {s["name"]: s for s in man["steps"]}
-    assert [s["status"] for s in man["steps"]] == ["ok", "crashed",
-                                                  "skipped"]
+    assert [s["status"] for s in man["steps"]] == ["ok", "crashed"]
     assert steps["flow"]["detail"] == "TypeError: unexpected argument"
     assert set(man["files"]) == {"cell.json"}
 
@@ -251,8 +257,7 @@ def test_nan_gate_value_fails_the_stage(tmp_path, monkeypatch):
     assert run(small_config(out), "transport") == 4
     man = json.loads((out / "manifest.json").read_text())
     steps = {s["name"]: s for s in man["steps"]}
-    assert [s["status"] for s in man["steps"]] == ["ok", "ok",
-                                                  "check_failed"]
+    assert [s["status"] for s in man["steps"]] == ["ok", "check_failed"]
     assert steps["transport"]["detail"].startswith(
         "transport balance gap nan")
 

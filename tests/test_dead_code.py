@@ -5,7 +5,8 @@ Checked are every module-level function or class of `_numerics`, and every
 definition must read it.  Public names of the other modules are the
 package's interface and may be read only by callers.  Every field of
 `ExperimentConfig` must likewise be read, as an attribute, by library code
-outside `config.py`: a config key that no solver reads is dead too.
+outside `config.py`, and every key of a section that it keeps as a dict, as
+a string subscript: a config key that no solver reads is dead too.
 """
 
 import ast
@@ -13,9 +14,27 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from fisshom.config import ExperimentConfig
+from fisshom.config import _SCHEMA, ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fisshom"
+
+
+def _library_reads(reads) -> Counter:
+    """The sum of `reads(tree)` over the package's modules but config.py."""
+    out = Counter()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            out += reads(ast.parse(path.read_text()))
+    return out
+
+
+def _subscripts(node) -> Counter:
+    """String constants read as subscripts under `node`, as in x["key"]."""
+    return Counter(n.slice.value for n in ast.walk(node)
+                   if isinstance(n, ast.Subscript)
+                   and isinstance(n.ctx, ast.Load)
+                   and isinstance(n.slice, ast.Constant)
+                   and isinstance(n.slice.value, str))
 
 
 def _reads(node, bare: bool = True) -> Counter:
@@ -75,9 +94,15 @@ def test_every_helper_has_a_library_reader():
 
 
 def test_every_config_field_has_a_library_reader():
-    reads = Counter()
-    for path in SRC.glob("*.py"):
-        if path.name != "config.py":
-            reads += _reads(ast.parse(path.read_text()), bare=False)
+    reads = _library_reads(lambda tree: _reads(tree, bare=False))
     names = [f.name for f in fields(ExperimentConfig)]
     assert [name for name in names if not reads[name]] == []
+
+
+def test_every_config_dict_key_has_a_library_reader():
+    reads = _library_reads(_subscripts)
+    sections = [f.name for f in fields(ExperimentConfig) if f.type == "dict"]
+    assert sections == ["flow", "transport", "ergodic", "sweep"]
+    unread = [f"{s}.{key}" for s in sections for key in _SCHEMA[s]
+              if not reads[key]]
+    assert unread == []
