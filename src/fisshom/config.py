@@ -342,7 +342,10 @@ def parse_config(path: str | None = None, text: str | None = None,
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping of sections")
     for section, values in (overrides or {}).items():
-        data[section] = dict(data.get(section) or {}, **values)
+        sec = data.get(section)
+        if not isinstance(sec, (dict, type(None))):
+            raise ConfigError(f"{section}: expected a mapping, got {sec!r}")
+        data[section] = dict(sec or {}, **values)
     for key in data:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown section '{key}' (known sections: "

@@ -195,7 +195,7 @@ def test_single_stage_with_dependencies(tmp_path):
     assert transport["iterations"] == 0
 
 
-def test_solver_error_skips_dependents(tmp_path):
+def test_solver_error_skips_dependents(tmp_path, monkeypatch):
     # the flow model needs three vertical cells per bed; the schema rejects
     # two, so the config is edited past it to reach the solver's own check,
     # which must surface as a stage failure, not a crash
@@ -214,6 +214,23 @@ def test_solver_error_skips_dependents(tmp_path):
         assert run(broken, "all", out_dir=str(out)) == code
         man = json.loads((out / "manifest.json").read_text())
         assert {s["name"]: s["status"] for s in man["steps"]} == statuses
+
+    # a solver error in the cell stage skips both of its dependents
+    def singular(ctx, outdir):
+        raise np.linalg.LinAlgError("singular cell matrix")
+
+    monkeypatch.setitem(cli._STAGE_TABLE, "cell",
+                        (singular, (), "fails"))
+    out = tmp_path / "out_cell"
+    assert run(cfg, "transport", out_dir=str(out)) == 3
+    man = json.loads((out / "manifest.json").read_text())
+    assert [(s["name"], s["status"]) for s in man["steps"]] == [
+        ("cell", "solver_error"), ("transport", "skipped")]
+    assert run(cfg, "flow", out_dir=str(out)) == 3
+    man = json.loads((out / "manifest.json").read_text())
+    assert [(s["name"], s["status"]) for s in man["steps"]] == [
+        ("cell", "solver_error"), ("flow", "skipped")]
+    assert man["steps"][0]["detail"] == "singular cell matrix"
 
 
 def test_sweep_gate_failure_returns_four(tmp_path):
@@ -239,16 +256,15 @@ def test_crashed_stage_still_writes_manifest(tmp_path, monkeypatch):
     def broken(ctx, outdir):
         raise TypeError("unexpected argument")
 
-    monkeypatch.setitem(cli._STAGE_TABLE, "flow",
-                        (broken, ("cell",), "crashes"))
+    monkeypatch.setitem(cli._STAGE_TABLE, "cell", (broken, (), "crashes"))
     out = tmp_path / "out"
     cfg = small_config(out)
     assert run(cfg, "flow") == 3
     man = json.loads((out / "manifest.json").read_text())
     steps = {s["name"]: s for s in man["steps"]}
-    assert [s["status"] for s in man["steps"]] == ["ok", "crashed"]
-    assert steps["flow"]["detail"] == "TypeError: unexpected argument"
-    assert set(man["files"]) == {"cell.json"}
+    assert [s["status"] for s in man["steps"]] == ["crashed", "skipped"]
+    assert steps["cell"]["detail"] == "TypeError: unexpected argument"
+    assert man["files"] == {}
 
 
 def test_nan_gate_value_fails_the_stage(tmp_path, monkeypatch):
@@ -293,6 +309,12 @@ def test_main_config_error_writes_manifest(tmp_path, capsys):
     assert "geometry.theta" in step["detail"]
     assert man["subcommand"] == "all" and man["files"] == {}
     assert man["config_sha256"] is None
+    # a section that a flag overrides must still be a mapping
+    bad.write_text("run: 5\n")
+    assert main(["cell", "--config", str(bad), "--out", str(out)]) == 2
+    assert "run: expected a mapping, got 5" in capsys.readouterr().err
+    (step,) = json.loads((out / "manifest.json").read_text())["steps"]
+    assert step["status"] == "config_error"
 
 
 def test_main_runs_stage_with_flag_overrides(tmp_path, capsys):

@@ -6,7 +6,8 @@ definition must read it.  Public names of the other modules are the
 package's interface and may be read only by callers.  Every field of
 `ExperimentConfig` must likewise be read, as an attribute, by library code
 outside `config.py`, and every key of a section that it keeps as a dict, as
-a string subscript: a config key that no solver reads is dead too.
+a string subscript of that section: a config key that no solver reads is
+dead too.
 """
 
 import ast
@@ -28,13 +29,32 @@ def _library_reads(reads) -> Counter:
     return out
 
 
-def _subscripts(node) -> Counter:
-    """String constants read as subscripts under `node`, as in x["key"]."""
-    return Counter(n.slice.value for n in ast.walk(node)
-                   if isinstance(n, ast.Subscript)
-                   and isinstance(n.ctx, ast.Load)
-                   and isinstance(n.slice, ast.Constant)
-                   and isinstance(n.slice.value, str))
+def _string_subscripts(node):
+    """Each `x["key"]` read under `node`."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Subscript)
+            and isinstance(n.ctx, ast.Load)
+            and isinstance(n.slice, ast.Constant)
+            and isinstance(n.slice.value, str)]
+
+
+def _section_reads(tree) -> Counter:
+    """`(section, key)` of each string subscript of an attribute under
+    `tree`: `x.section["key"]`, or `alias["key"]` inside a function that
+    binds `alias = x.section`."""
+    out = Counter((n.value.attr, n.slice.value)
+                  for n in _string_subscripts(tree)
+                  if isinstance(n.value, ast.Attribute))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            aliases = {a.targets[0].id: a.value.attr for a in ast.walk(fn)
+                       if isinstance(a, ast.Assign) and len(a.targets) == 1
+                       and isinstance(a.targets[0], ast.Name)
+                       and isinstance(a.value, ast.Attribute)}
+            out.update((aliases[n.value.id], n.slice.value)
+                       for n in _string_subscripts(fn)
+                       if isinstance(n.value, ast.Name)
+                       and n.value.id in aliases)
+    return out
 
 
 def _reads(node, bare: bool = True) -> Counter:
@@ -100,9 +120,18 @@ def test_every_config_field_has_a_library_reader():
 
 
 def test_every_config_dict_key_has_a_library_reader():
-    reads = _library_reads(_subscripts)
+    reads = _library_reads(_section_reads)
     sections = [f.name for f in fields(ExperimentConfig) if f.type == "dict"]
     assert sections == ["flow", "transport", "ergodic", "sweep"]
     unread = [f"{s}.{key}" for s in sections for key in _SCHEMA[s]
-              if not reads[key]]
+              if not reads[(s, key)]]
     assert unread == []
+
+
+def test_section_reads_are_counted_per_section():
+    tree = ast.parse(
+        "def flow(cfg):\n    f = cfg.flow\n    return f['shape']\n\n"
+        "def transport(cfg, report):\n"
+        "    return cfg.transport['porosity'], report['depth']\n")
+    assert _section_reads(tree) == Counter({
+        ("flow", "shape"): 1, ("transport", "porosity"): 1})
