@@ -3,22 +3,17 @@ sparse solver wrappers, and the separable bed operators.
 
 Everything here is deliberately boring.  Deterministic seeding uses
 splitmix64 so that per-index draws are stateless and identical across
-platforms and vectorization widths.  The assembly helpers append COO blocks
-to caller-owned `rows`, `cols`, `vals` lists; the order in which they emit
-entries fixes how duplicates are summed, so it is part of their contract.
+platforms and vectorization widths.
 
 A bed operator on a horizontally uniform tensor grid, whose column axis
 stacks both beds, is described once by its 1-D factors (`TensorOperator`).
-The separable routes never form its 3-D matrix: the operator applies itself
-in tensor form, one sparse 1-D product per axis, for residuals and
-right-hand sides, and its largest entry comes from the factors too.  The
-same factors give the column systems of the mode-by-mode solve
-(`solve_separable`: the fast diagonalization method of Lynch, Rice & Thomas
-1964), whose block-diagonal mode matrix is built directly and factored in
-its natural order, where the banded blocks make no fill.  The matrix itself,
-their Kronecker sum, serves the non-separable routes.  The tests keep the
-face-by-face COO assemblies of both bed matrices as the independent
-reference of the factors.
+They apply it in tensor form, each by its nonzero diagonals (`bands`), and
+give its largest entry.  They also give the tridiagonal column systems of
+the mode-by-mode solve (the fast diagonalization method of Lynch, Rice &
+Thomas 1964): SuperLU factors them in natural order, without fill
+(`solve_separable`), or one batched LU factors them all together
+(`separable_inverse`).  The tests keep the Kronecker sum of the factors and
+the face-by-face COO assemblies of both bed matrices as their references.
 """
 
 from __future__ import annotations
@@ -163,30 +158,18 @@ def axis_halves(axis: int, ndim: int):
     return tuple(lo), tuple(hi)
 
 
-def axis_neighbours(index: np.ndarray, axis: int):
-    """Flat (lower, upper) entries of `index` for each pair of neighbours
-    along `axis`, without wrap-around."""
-    lo, hi = axis_halves(axis, index.ndim)
-    return index[lo].ravel(), index[hi].ravel()
-
-
-def upwind(rows, cols, vals, lo, hi, flux):
-    """Append first-order upwind advection across the faces between lo and
-    hi; flux is the face-normal velocity times the face size, positive from
-    lo towards hi."""
-    pos = np.maximum(flux, 0.0)
-    neg = np.minimum(flux, 0.0)
-    rows.extend((lo, lo, hi, hi))
-    cols.extend((lo, hi, lo, hi))
-    vals.extend((pos, neg, -pos, -neg))
-
-
-def coo_square(rows, cols, vals, n: int) -> sp.coo_matrix:
-    """The n x n matrix of the appended COO blocks (duplicates not yet
-    summed)."""
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+def bands(M: np.ndarray, axis: int, ndim: int = 3):
+    """Each nonzero diagonal of the square 1-D factor M acting along `axis`
+    of an `ndim`-dimensional array, in column order: its offset s, the index
+    tuples of the rows i and of the columns i + s that it couples, and its
+    entries M[i, i + s] shaped to broadcast along `axis`."""
+    r, c = np.nonzero(M)
+    for s in np.unique(c - r).tolist():
+        rows, cols = [slice(None)] * ndim, [slice(None)] * ndim
+        rows[axis] = slice(max(0, -s), len(M) - max(0, s))
+        cols[axis] = slice(max(0, s), len(M) - max(0, -s))
+        yield s, tuple(rows), tuple(cols), np.diagonal(M, s).reshape(
+            [-1 if a == axis else 1 for a in range(ndim)])
 
 
 def pin_rows(A: sp.spmatrix, b: np.ndarray, fixed: np.ndarray, values):
@@ -269,7 +252,7 @@ class TensorOperator(NamedTuple):
     W the horizontal control-volume widths, K the 1-D horizontal stiffness
     matrices, Cz the dense column operator per unit horizontal area, and G
     the per-layer horizontal conductances.  `op @ x` applies S to a flat x
-    numbered (i1, i2, k) in C order, as `kronecker_sum` numbers it."""
+    numbered (i1, i2, k) in C order."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -284,8 +267,8 @@ class TensorOperator(NamedTuple):
         return (self.w1.size, self.w2.size, self.cz.shape[0])
 
     def terms(self):
-        """(axis, M, across) of each Kronecker term, in the order
-        `kronecker_sum` adds them: the 1-D factor M along `axis`, and the
+        """(axis, M, across) of each Kronecker term, in the order the
+        matrix of S sums them: the 1-D factor M along `axis`, and the
         product of the two diagonals across that axis, shaped as the other
         two axes."""
         return ((2, self.cz, np.multiply.outer(self.w1, self.w2)),
@@ -293,22 +276,23 @@ class TensorOperator(NamedTuple):
                 (1, self.k2, np.multiply.outer(self.w1, self.g2)))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """S x in tensor form: each 1-D factor acts along its axis as a
-        sparse product, so neither the 3-D matrix nor a BLAS kernel
+        """S x in tensor form: each 1-D factor acts along its axis by its
+        nonzero diagonals (`bands`), summed in column order as a sparse row
+        product sums them, so neither the 3-D matrix nor a BLAS kernel
         enters."""
         x = x.reshape(self.shape)
         y = np.zeros(self.shape)
         for axis, M, across in self.terms():
-            moved = np.moveaxis(x, axis, 0)
-            Mx = sp.csr_matrix(M) @ moved.reshape(moved.shape[0], -1)
-            y += (np.moveaxis(Mx.reshape(moved.shape), 0, axis)
-                  * np.expand_dims(across, axis))
+            Mx = np.zeros(self.shape)
+            for _, rows, cols, m in bands(M, axis):
+                Mx[rows] += m * x[cols]
+            y += Mx * np.expand_dims(across, axis)
         return y.ravel()
 
     def max_abs(self) -> float:
         """max|S| from the factors, equal bit for bit to the largest entry
-        of `kronecker_sum`: an off-diagonal entry comes from one term, and
-        a diagonal one sums the three terms in the order it adds them."""
+        of its matrix: an off-diagonal entry comes from one term, and a
+        diagonal one sums the three terms in the order of `terms`."""
         diag = np.zeros(self.shape)
         off = 0.0
         for axis, M, across in self.terms():
@@ -319,21 +303,6 @@ class TensorOperator(NamedTuple):
             off = max(off, float(np.max(np.abs(M - np.diag(d))))
                       * float(np.max(np.abs(across))))
         return max(off, float(np.max(np.abs(diag))))
-
-
-def kronecker_sum(op: TensorOperator) -> sp.csr_matrix:
-    """The sparse matrix S of `op`, unknowns numbered (i1, i2, k) in C
-    order.  Each term couples the unknowns along the axis of its one
-    non-diagonal factor, scaled by the two diagonals across that axis."""
-    index = np.arange(np.prod(op.shape), dtype=np.int32).reshape(op.shape)
-    S = sp.csr_matrix((index.size,) * 2)
-    for axis, M, across in op.terms():
-        r, c = np.nonzero(M)
-        along = np.moveaxis(index, axis, 0)
-        S = S + sp.csr_matrix((np.multiply.outer(M[r, c], across).ravel(),
-                               (along[r].ravel(), along[c].ravel())),
-                              shape=S.shape)
-    return S
 
 
 def separable_factors(op: TensorOperator, layers=slice(None)):
@@ -353,6 +322,14 @@ def mode_eigenvalues(m: int, basis: str) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * k / (m + (kind == 1)))
 
 
+def _mode_shift(h1, h2, m1: int, m2: int, basis: str) -> np.ndarray:
+    """mu1 h1 + mu2 h2 of each mode of an (m1, m2) horizontal grid in
+    `basis`: one row per mode, in transform order."""
+    return (mode_eigenvalues(m1, basis)[:, None, None] * h1
+            + mode_eigenvalues(m2, basis)[None, :, None] * h2
+            ).reshape(m1 * m2, -1)
+
+
 def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                  m1: int, m2: int, basis: str,
                  pin: int | None = None) -> sp.csc_matrix:
@@ -362,9 +339,7 @@ def _mode_matrix(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     sum: C off the diagonal, C + shift on it, exact zeros dropped.  `pin`
     names a row of mode (0, 0) that becomes the gauge row x = 0."""
     nz = C.shape[0]
-    shift = (mode_eigenvalues(m1, basis)[:, None, None] * h1
-             + mode_eigenvalues(m2, basis)[None, :, None] * h2
-             ).reshape(-1, nz)
+    shift = _mode_shift(h1, h2, m1, m2, basis)
     # the pattern of one block in CSC order, with its whole diagonal
     c, r = np.nonzero(((C != 0) | np.eye(nz, dtype=bool)).T)
     vals = np.tile(C[r, c], (len(shift), 1))
@@ -412,20 +387,38 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
 def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                       shape: tuple[int, int, int], basis: str):
     """The inverse of the separable operator of `solve_separable` on
-    unknowns of `shape`, as a function of a flat right-hand side.  The mode
-    matrix is factored once, in its natural column order; each call
-    transforms, back-substitutes and transforms back, so it serves as an
-    iterative solver's preconditioner.
-    """
+    unknowns of `shape`, as a function of a flat right-hand side: an
+    iterative solver's preconditioner.  One batched LU without pivoting
+    factors all mode blocks C + diag(mu1 h1 + mu2 h2) once, a step per row
+    of C vectorized over the modes; each call transforms, eliminates and
+    back-substitutes the same way, and transforms back.  Raises ValueError
+    unless C is tridiagonal and every pivot is positive and finite, as the
+    M-matrix sign pattern of the bed operators ensures."""
     forward, inverse, kind, _ = _BASES[basis]
-    M = _mode_matrix(C, h1, h2, shape[0], shape[1], basis)
-    lu = spla.splu(M, **_BANDED_LU)
+    if np.any(np.triu(C, 2)) or np.any(np.tril(C, -2)):
+        raise ValueError("column operator is not tridiagonal")
+    lower, upper = np.diagonal(C, -1), np.diagonal(C, 1)
+    pivots = np.diagonal(C)[:, None] + _mode_shift(h1, h2, *shape[:2],
+                                                   basis).T
+    mults = np.zeros_like(pivots)
+    for k in range(len(pivots)):
+        if k:
+            mults[k] = lower[k - 1] / pivots[k - 1]
+            pivots[k] -= mults[k] * upper[k - 1]
+        # written so that NaN fails: it compares False with any bound
+        if not np.all((pivots[k] > 0.0) & (pivots[k] < np.inf)):
+            raise ValueError(f"mode pivot {k} is not positive and finite")
 
     def apply(r: np.ndarray) -> np.ndarray:
-        r_hat = forward(r.reshape(shape), type=kind, axes=(0, 1),
-                        norm="ortho")
-        x_hat = lu.solve(r_hat.ravel()).reshape(shape)
-        return inverse(x_hat, type=kind, axes=(0, 1), norm="ortho").ravel()
+        z = forward(r.reshape(shape), type=kind, axes=(0, 1),
+                    norm="ortho").reshape(-1, shape[2]).T.copy()
+        for k in range(1, len(z)):
+            z[k] -= mults[k] * z[k - 1]
+        z[-1] /= pivots[-1]
+        for k in range(len(z) - 2, -1, -1):
+            z[k] = (z[k] - upper[k] * z[k + 1]) / pivots[k]
+        return inverse(z.T.reshape(shape), type=kind, axes=(0, 1),
+                       norm="ortho").ravel()
 
     return apply
 

@@ -27,9 +27,9 @@ stencil.  The same factors give one banded column system per horizontal
 mode of an orthonormal cosine (no-flow side walls) or sine (Dirichlet side
 walls) transform, all factored at once in their natural order, where the
 banded blocks make no fill (`_numerics.solve_separable`).  The 3-D matrix is
-never formed: the residual applies the operator in tensor form, one sparse
-1-D product per axis, and the closed-flow compatibility scale max|A| comes
-from the factors.  The tests keep the face-by-face assembly of the matrix
+never formed: the residual applies the operator in tensor form, each 1-D
+factor by its diagonals, and the closed-flow compatibility scale max|A|
+comes from the factors.  The tests keep the face-by-face assembly of the matrix
 as the independent reference.
 """
 

@@ -24,25 +24,22 @@ discrete solution inherits the max principle.
 
 Solve: the beds share one tensor grid whose column axis is stacked [minus
 bottom->top, plus bottom->top], interface vertices adjacent.  The matrix
-has two parts, each built once per solve: the velocity-free S (diffusion,
-reaction, exchange, surface spreading) and the upwind part U of the bed and
-surface velocities; A = S + U.  S is the Kronecker sum of 1-D factors
-(`_numerics.TensorOperator`); U stays a face-by-face assembly, since the
-velocities vary in space.  The Dirichlet data move to the right-hand side
-through A, and the interior vertices are solved.  Without velocities there
-is no U and no matrix: S acts in tensor form, one sparse 1-D product per
-axis, for the right-hand side and the residual, and the interior factors of
-S give one banded column system per horizontal mode of an orthonormal sine
-transform (`_numerics.solve_separable`).  Any velocity makes A
-non-separable; A = S + U is then formed, and restarted GMRES solves its
-interior system, preconditioned by the separable inverse of S
-(`_numerics.separable_inverse`): the fast direct solver of the separable
-part as the preconditioner of the whole (Concus & Golub 1973).  Where GMRES
-does not converge within its fixed iteration cap, as at very high Peclet
-numbers, the whole Dirichlet-pinned A goes to SuperLU.  Every route
-measures the residual of that pinned system, and the
-solution records which route ran and how many GMRES iterations it took.
-The tests keep the face-by-face assembly of S as its independent reference.
+is A = S + U: the velocity-free S (diffusion, reaction, exchange, surface
+spreading), the Kronecker sum of 1-D factors (`_numerics.TensorOperator`),
+and the upwind part U of the bed and surface velocities.  The Dirichlet
+data move to the right-hand side through A, and the interior vertices are
+solved.  Without velocities S acts in tensor form, and its interior
+factors give one tridiagonal column system per horizontal mode of an
+orthonormal sine transform (`_numerics.solve_separable`).  Any velocity
+makes A non-separable; A is then written once as its seven diagonals, at
+the grid offsets 0, +-1, +-nz and +-(n2 + 1) nz, and restarted GMRES
+solves the interior with its product, preconditioned by the separable
+inverse of S (`_numerics.separable_inverse`; Concus & Golub 1973).  Where
+GMRES does not converge within its fixed iteration cap, as at very high
+Peclet numbers, the Dirichlet-pinned A goes to SuperLU.  Every route
+measures the residual of that pinned system, and the solution records the
+route and its GMRES iterations.  The tests keep the face-by-face
+assemblies of S and U as their independent references.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.
@@ -53,13 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._numerics import (TensorOperator, axis_halves, axis_neighbours,
-                        check_interval, checked_residual, coo_square, fsum,
-                        kronecker_sum, on_grid, pin_rows, positive_diagonal,
-                        separable_factors, separable_inverse, solve_separable,
-                        solve_sparse, stiffness, upwind)
+from ._numerics import (TensorOperator, axis_halves, bands, check_interval,
+                        checked_residual, fsum, on_grid, pin_rows,
+                        positive_diagonal, separable_factors,
+                        separable_inverse, solve_separable, solve_sparse,
+                        stiffness)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
 
@@ -68,6 +66,9 @@ from .stochastic import ErgodicStats
 _GMRES_RTOL = 1e-13
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 2
+
+# the unknowns of the stacked grid: all but the Dirichlet boundary vertices
+_INTERIOR = (slice(1, -1),) * 3
 
 
 @dataclass(frozen=True)
@@ -247,32 +248,40 @@ def _operator(cfg: TransportConfig, meshp: _BedMesh,
                           stiffness(1.0 / np.diff(x2)), cz, *g)
 
 
-def _assemble_upwind(cfg: TransportConfig, meshp: _BedMesh,
-                     meshm: _BedMesh):
-    """U: the upwind advection of the bed and surface velocities; None
-    without velocities."""
-    rows: list = []
-    cols: list = []
-    vals: list = []
-    for mesh in (meshp, meshm):
-        if mesh.velocity is not None:
-            for axis in range(3):
-                mids, area, _ = mesh.faces(axis)
-                v = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, mids)
-                upwind(rows, cols, vals, *axis_neighbours(mesh.index, axis),
-                       (v * area).ravel())
-    if cfg.surface_velocity is not None:
-        for axis in range(2):
-            mids, length, _ = meshp.faces(axis, dims=2)
-            v = _velocity(cfg.surface_velocity, "surface_velocity", axis,
-                          mids)
-            upwind(rows, cols, vals,
-                   *axis_neighbours(meshp.index[:, :, 0], axis),
-                   (cfg.surface_scale * v * length).ravel())
-    if not rows:
-        return None
-    return coo_square(rows, cols, vals,
-                      meshp.index.size + meshm.index.size).tocsr()
+def _diagonal_form(cfg: TransportConfig, op: TensorOperator,
+                   meshp: _BedMesh, meshm: _BedMesh) -> sp.dia_matrix:
+    """A = S + U as its diagonals at the grid's neighbour offsets, ascending,
+    so that its product sums each row in column order.  S sums its factors'
+    diagonals in the order of `op.terms()`; U, added last, sums the upwind
+    face fluxes of the upper bed, lower bed and surface, axis by axis."""
+    stride = (op.shape[1] * op.shape[2], op.shape[2], 1)
+    S, U = {}, {}
+    for axis, M, across in op.terms():
+        for s, rows, _, m in bands(M, axis):
+            S.setdefault(s * stride[axis], np.zeros(op.shape))[rows] += (
+                m * np.expand_dims(across, axis))
+    fields = [(mesh, mesh.velocity, f"vel_{mesh.side}", mesh.layers, 3, 1.0)
+              for mesh in (meshp, meshm)]
+    fields.append((meshp, cfg.surface_velocity, "surface_velocity",
+                   meshp.layers.start, 2, cfg.surface_scale))
+    for mesh, field, name, plane, dims, scale in fields:
+        for axis in range(dims if field is not None else 0):
+            mids, size, _ = mesh.faces(axis, dims)
+            # face-normal velocity times face size, positive from lo to hi
+            flux = scale * _velocity(field, name, axis, mids) * size
+            lo, hi = axis_halves(axis, dims)
+            pos, neg = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+            for offset, rows, value in ((0, lo, pos), (stride[axis], lo, neg),
+                                        (-stride[axis], hi, -pos),
+                                        (0, hi, -neg)):
+                U.setdefault(offset, np.zeros(op.shape))[:, :, plane][
+                    rows] += value
+    for offset, d in U.items():
+        S[offset] = S.get(offset, 0.0) + d
+    offsets = sorted(S)
+    # DIA keeps the entry (i, i + o) in column i + o
+    data = np.array([np.roll(S[o].ravel(), o) for o in offsets])
+    return sp.dia_matrix((data, offsets), shape=(data.shape[1],) * 2)
 
 
 @dataclass
@@ -314,14 +323,12 @@ class TransportSolution:
 def _assemble_system(cfg: TransportConfig, surface_source,
                      surface_source_minus):
     """The vertex system of both beds on the stacked grid before the
-    Dirichlet rows: the 1-D factors of the velocity-free matrix S, the upwind
-    matrix U (None without velocities) and b, so that A = S + U; then the
-    Dirichlet vertices `fixed` with their `data` (zero elsewhere), and the
-    two bed meshes."""
+    Dirichlet rows: the 1-D factors of the velocity-free matrix S and b;
+    then the Dirichlet vertices `fixed` with their `data` (zero elsewhere),
+    and the two bed meshes."""
     meshp = _BedMesh(cfg, "plus")
     meshm = _BedMesh(cfg, "minus")
     n_tot = meshp.index.size + meshm.index.size
-    U = _assemble_upwind(cfg, meshp, meshm)
     b = np.zeros(n_tot)
     fixed = np.zeros(n_tot, dtype=bool)
     data = np.zeros(n_tot)
@@ -338,20 +345,26 @@ def _assemble_system(cfg: TransportConfig, surface_source,
                        (surface_source_minus, meshm.index[:, :, -1])):
         if src is not None:
             b[plane] += on_grid(src, *meshp.axes[:2]) * area
-    return (_operator(cfg, meshp, meshm), U, b, fixed, data, meshp, meshm)
+    return _operator(cfg, meshp, meshm), b, fixed, data, meshp, meshm
 
 
-def _solve_krylov(A, rhs, inner, modes):
-    """GMRES on the interior rows and columns of A, preconditioned by the
-    separable inverse of `modes`; (x, iterations), x None without
-    convergence."""
-    flat = inner.ravel()
-    precondition = separable_inverse(*modes, inner.shape, "dst1")
+def _solve_krylov(A: sp.dia_matrix, rhs: np.ndarray, modes):
+    """GMRES for the interior right-hand side `rhs`, with the product of A
+    embedded in the grid and the separable inverse of `modes`;
+    (x, iterations), x None without convergence."""
+    full = np.zeros(tuple(m + 2 for m in rhs.shape))
+
+    def product(x):
+        full[_INTERIOR] = x.reshape(rhs.shape)
+        return (A @ full.ravel()).reshape(full.shape)[_INTERIOR].ravel()
+
+    square = (rhs.size,) * 2
     steps = []
     x, info = spla.gmres(
-        A[flat][:, flat], rhs[flat], rtol=_GMRES_RTOL, atol=0.0,
-        restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
-        M=spla.LinearOperator((flat.size,) * 2, matvec=precondition),
+        spla.LinearOperator(square, matvec=product), rhs.ravel(),
+        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+        maxiter=_GMRES_CYCLES, M=spla.LinearOperator(
+            square, matvec=separable_inverse(*modes, rhs.shape, "dst1")),
         callback=steps.append, callback_type="pr_norm")
     return (x if info == 0 else None), len(steps)
 
@@ -359,38 +372,32 @@ def _solve_krylov(A, rhs, inner, modes):
 def solve_limit_transport(cfg: TransportConfig, surface_source=None,
                           surface_source_minus=None) -> TransportSolution:
     """Solve the coupled transport problem on its interior vertices, with
-    the Dirichlet data moved to the right-hand side through the matrix
-    A = S + U.
+    the Dirichlet data moved to the right-hand side through A = S + U.
 
-    Without velocities there is no U; the beds are horizontally uniform and
-    the interior is solved mode by mode in a sine basis
-    (`solve_separable`), and S applies itself in tensor form
-    (`TensorOperator`) without forming a matrix.  With any velocity,
-    restarted GMRES solves the system of the matrix A, preconditioned by the
-    separable inverse of S; if GMRES does not converge, the
-    Dirichlet-pinned A goes to SuperLU.  Every route measures the residual
-    of that pinned system, with the normalization and the 1e-9 gate of
-    `checked_residual`."""
-    op, U, b, fixed, data, meshp, meshm = _assemble_system(
+    Without velocities the interior is solved mode by mode in a sine basis
+    (`solve_separable`), and S applies itself in tensor form.  With any
+    velocity, restarted GMRES solves it with the product of the diagonal
+    form of A, preconditioned by the separable inverse of S, and SuperLU
+    solves the Dirichlet-pinned A if GMRES does not converge.  Every route
+    measures the residual of the pinned system (`checked_residual`)."""
+    op, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
-    grid = np.arange(b.size).reshape(op.shape)
-    inner = grid[1:-1, 1:-1, 1:-1]  # without the Dirichlet boundary vertices
     modes = separable_factors(op, slice(1, -1))
-    separable = U is None
-    # the separable route forms no matrix: S acts in tensor form
-    A = op if separable else kronecker_sum(op) + U
-    del U  # only A is used below: free U before GMRES runs
-    rhs = b - A @ data
+    separable = (cfg.vel_plus is None and cfg.vel_minus is None
+                 and cfg.surface_velocity is None)
+    A = op if separable else _diagonal_form(cfg, op, meshp, meshm)
+    rhs = (b - A @ data).reshape(op.shape)[_INTERIOR]
     u = data.copy()
+    inside = u.reshape(op.shape)[_INTERIOR]  # a view of u
     iterations = 0
     if separable:
         route = "separable"
-        u[inner], _ = solve_separable(*modes, rhs[inner], "dst1")
+        inside[...], _ = solve_separable(*modes, rhs, "dst1")
     else:
-        x, iterations = _solve_krylov(A, rhs, inner, modes)
+        x, iterations = _solve_krylov(A, rhs, modes)
         route = "krylov" if x is not None else "splu"
         if x is not None:
-            u[inner.ravel()] = x
+            inside[...] = x.reshape(rhs.shape)
     if route == "splu":
         u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     else:

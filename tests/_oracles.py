@@ -17,10 +17,13 @@ reference of `fisshom.stochastic.FourierPath`, which sums the modes one by
 one in a fixed order: the two agree to rounding.
 
 The SuperLU bed solves are the retained references of the separable
-(mode-by-mode) routes in `fisshom.limit_flow` and
-`fisshom.limit_transport`: the same 3-D matrices, factored whole.  The
+(mode-by-mode) and Krylov routes in `fisshom.limit_flow` and
+`fisshom.limit_transport`: the same 3-D matrices, the Kronecker sum of the
+solvers' factors plus the face-by-face upwind matrix, factored whole.  The
 face-by-face COO assemblies of those matrices are the references of the
-solvers' Kronecker factors; they number the unknowns as the solvers do.
+solvers' Kronecker factors and of the transport solver's diagonal form;
+they number the unknowns as the solvers do, and sum the entries at one
+position in the order they append them.
 The SuperLU torsion solve is likewise the reference of the sine-transform
 route in `fisshom.cell.solve_poisson_cell`.  The Kronecker form of the mode
 matrix is the reference of its direct block-diagonal build in
@@ -33,8 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from fisshom import limit_flow, limit_transport
-from fisshom._numerics import (axis_neighbours, coo_square, fsum,
-                               gauss_legendre, kronecker_sum,
+from fisshom._numerics import (axis_halves, fsum, gauss_legendre,
                                mode_eigenvalues, panel_quadrature, pin_rows,
                                solve_sparse)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
@@ -216,6 +218,50 @@ def pair_averages_per_tube(fissures, panels_per_period=6.0):
     return qbar, rbar, q0
 
 
+def axis_neighbours(index, axis):
+    """Flat (lower, upper) entries of `index` for each pair of neighbours
+    along `axis`, without wrap-around."""
+    lo, hi = axis_halves(axis, index.ndim)
+    return index[lo].ravel(), index[hi].ravel()
+
+
+def coo_square(rows, cols, vals, n):
+    """The n x n CSR matrix of the appended COO blocks, the entries at one
+    position summed in the order they were appended."""
+    keys, where = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
+                            return_inverse=True)
+    summed = np.zeros(keys.size)
+    np.add.at(summed, where, np.concatenate(vals))
+    return sp.csr_matrix((summed, (keys // n, keys % n)), shape=(n, n))
+
+
+def kronecker_sum(op):
+    """The sparse matrix S of the factors `op`, unknowns numbered
+    (i1, i2, k) in C order, its three terms added in the order of
+    `op.terms()`.  Each term couples the unknowns along the axis of its one
+    non-diagonal factor, scaled by the two diagonals across that axis."""
+    index = np.arange(np.prod(op.shape), dtype=np.int32).reshape(op.shape)
+    S = sp.csr_matrix((index.size,) * 2)
+    for axis, M, across in op.terms():
+        r, c = np.nonzero(M)
+        along = np.moveaxis(index, axis, 0)
+        S = S + sp.csr_matrix((np.multiply.outer(M[r, c], across).ravel(),
+                               (along[r].ravel(), along[c].ravel())),
+                              shape=S.shape)
+    return S
+
+
+def upwind(rows, cols, vals, lo, hi, flux):
+    """Append first-order upwind advection across the faces between lo and
+    hi; flux is the face-normal velocity times the face size, positive from
+    lo towards hi."""
+    pos = np.maximum(flux, 0.0)
+    neg = np.minimum(flux, 0.0)
+    rows.extend((lo, lo, hi, hi))
+    cols.extend((lo, hi, lo, hi))
+    vals.extend((pos, neg, -pos, -neg))
+
+
 def two_point(rows, cols, vals, lo, hi, tau):
     """Append the symmetric two-point flux tau * (u_lo - u_hi) between the
     unknowns lo and hi: +tau on both diagonals, -tau off them."""
@@ -267,7 +313,7 @@ def limit_flow_coo(cfg, bc):
             rows.append(target)
             cols.append(src_cells)
             vals.append(np.full(target.size, sign * coef))
-    return coo_square(rows, cols, vals, grid.size).tocsr()
+    return coo_square(rows, cols, vals, grid.size)
 
 
 def limit_transport_coo(cfg):
@@ -303,7 +349,35 @@ def limit_transport_coo(cfg):
                       (cfg.surface_scale * cfg.surface_diffusion[axis]
                        * length / spacing).ravel())
     n = meshp.index.size + meshm.index.size
-    return coo_square(rows, cols, vals, n).tocsr()
+    return coo_square(rows, cols, vals, n)
+
+
+def limit_transport_upwind(cfg):
+    """The upwind matrix U of the bed and surface velocities assembled face
+    by face, upper bed, lower bed, then surface, axis by axis; None without
+    velocities."""
+    meshp = limit_transport._BedMesh(cfg, "plus")
+    meshm = limit_transport._BedMesh(cfg, "minus")
+    rows, cols, vals = [], [], []
+    for mesh in (meshp, meshm):
+        if mesh.velocity is not None:
+            for axis in range(3):
+                mids, area, _ = mesh.faces(axis)
+                v = limit_transport._velocity(mesh.velocity,
+                                              f"vel_{mesh.side}", axis, mids)
+                upwind(rows, cols, vals, *axis_neighbours(mesh.index, axis),
+                       (v * area).ravel())
+    if cfg.surface_velocity is not None:
+        for axis in range(2):
+            mids, length, _ = meshp.faces(axis, dims=2)
+            v = limit_transport._velocity(cfg.surface_velocity,
+                                          "surface_velocity", axis, mids)
+            upwind(rows, cols, vals,
+                   *axis_neighbours(meshp.index[:, :, 0], axis),
+                   (cfg.surface_scale * v * length).ravel())
+    if not rows:
+        return None
+    return coo_square(rows, cols, vals, meshp.index.size + meshm.index.size)
 
 
 def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
@@ -329,11 +403,15 @@ def limit_flow_splu(cfg, bc, source_plus=None, source_minus=None):
 
 
 def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
-    """The coupled transport solve before the separable route: SuperLU on
-    the solver's 3-D matrix A = S + U with its Dirichlet rows pinned."""
-    op, U, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
+    """The coupled transport solve before the separable and Krylov routes:
+    SuperLU on the 3-D matrix A = S + U, the Kronecker sum of the solver's
+    factors plus the face-by-face U, with its Dirichlet rows pinned."""
+    op, b, fixed, data, meshp, meshm = limit_transport._assemble_system(
         cfg, surface_source, surface_source_minus)
-    A = kronecker_sum(op) if U is None else kronecker_sum(op) + U
+    A = kronecker_sum(op)
+    U = limit_transport_upwind(cfg)
+    if U is not None:
+        A = A + U
     u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     return limit_transport.TransportSolution(
         config=cfg, u_plus=u[meshp.index], u_minus=u[meshm.index],

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fisshom import limit_flow
-from fisshom._numerics import (_mode_matrix, fit_loglog_slope, kronecker_sum,
-                               pin_rows, separable_factors)
+from fisshom._numerics import (_mode_matrix, fit_loglog_slope, pin_rows,
+                               separable_factors)
 from fisshom.limit_flow import (
     FlowBC,
     FlowConfig,
@@ -17,7 +17,8 @@ from fisshom.limit_flow import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import limit_flow_coo, limit_flow_splu, mode_matrix_kron
+from _oracles import (kronecker_sum, limit_flow_coo, limit_flow_splu,
+                      mode_matrix_kron)
 
 STATS = constant_stats(0.5)
 

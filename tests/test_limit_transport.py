@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fisshom import limit_transport
-from fisshom._numerics import (_mode_matrix, fit_loglog_slope, kronecker_sum,
-                               separable_factors)
+from fisshom._numerics import (_mode_matrix, fit_loglog_slope,
+                               separable_factors, separable_inverse,
+                               solve_separable)
 from fisshom.fissure_transport import transmission_coeffs
 from fisshom.limit_flow import FlowConfig
 from fisshom.limit_transport import (
@@ -18,8 +19,8 @@ from fisshom.limit_transport import (
 )
 from fisshom.stochastic import constant_stats
 
-from _oracles import (limit_transport_coo, limit_transport_splu,
-                      mode_matrix_kron)
+from _oracles import (kronecker_sum, limit_transport_coo, limit_transport_splu,
+                      limit_transport_upwind, mode_matrix_kron)
 
 STATS = constant_stats(0.5)
 LAYER = dict(height=0.8, mean_qq=0.25, mean_inv_qq=4.2)
@@ -390,9 +391,9 @@ def test_krylov_route_repeats_exactly():
 
 
 def test_every_route_assembles_the_system_once(monkeypatch):
-    """One set of factors per solve; only the non-separable routes form
-    the matrix, once."""
-    calls = {"_operator": 0, "kronecker_sum": 0}
+    """One set of factors per solve; only the non-separable routes write
+    the diagonal form of A, once."""
+    calls = {"_operator": 0, "_diagonal_form": 0}
 
     def counting(name):
         original = getattr(limit_transport, name)
@@ -412,36 +413,45 @@ def test_every_route_assembles_the_system_once(monkeypatch):
                                     *_surface_sources())
         counts[sol.route] = dict(calls)
     assert counts == {
-        "separable": {"_operator": 1, "kronecker_sum": 0},
-        "krylov": {"_operator": 1, "kronecker_sum": 1},
-        "splu": {"_operator": 1, "kronecker_sum": 1}}
+        "separable": {"_operator": 1, "_diagonal_form": 0},
+        "krylov": {"_operator": 1, "_diagonal_form": 1},
+        "splu": {"_operator": 1, "_diagonal_form": 1}}
 
 
 def test_velocity_free_part_ignores_the_velocities():
     sources = _surface_sources()
-    op, U = limit_transport._assemble_system(
-        _uniform_case(**_varying_fields()), *sources)[:2]
-    op0, U0 = limit_transport._assemble_system(_uniform_case(), *sources)[:2]
-    assert U is not None and U0 is None
-    S, S0 = kronecker_sum(op), kronecker_sum(op0)
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(S, attr), getattr(S0, attr))
+    op = limit_transport._assemble_system(
+        _uniform_case(**_varying_fields()), *sources)[0]
+    op0 = limit_transport._assemble_system(_uniform_case(), *sources)[0]
+    for factor, factor0 in zip(op, op0):
+        assert np.array_equal(factor, factor0)
 
 
-@pytest.mark.parametrize("fields", [{}, _varying_fields()],
-                         ids=["still", "varying"])
+_FIELDS = {"still": {}, "varying": _varying_fields(),
+           "high_peclet": _varying_fields(scale=1e4)}
+
+
+@pytest.mark.parametrize("fields", list(_FIELDS.values()), ids=list(_FIELDS))
 def test_kronecker_sum_matches_face_assembly(fields):
+    """The Kronecker sum of the factors is the face-by-face S; with
+    velocities, the diagonal form of A is S plus the face-by-face U, entry
+    by entry."""
     cfg = _uniform_case(**fields)
-    op, U = limit_transport._assemble_system(cfg, *_surface_sources())[:2]
+    op, _, _, _, meshp, meshm = limit_transport._assemble_system(
+        cfg, *_surface_sources())
     got = kronecker_sum(op)
     want = limit_transport_coo(cfg)
-    if U is not None:
-        got, want = got + U, want + U
     assert got.nnz == want.nnz
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
         np.abs(want.data))
+    if fields:
+        got = limit_transport._diagonal_form(cfg, op, meshp, meshm)
+        assert got.format == "dia" and got.offsets.size == 7
+        want = (want + limit_transport_upwind(cfg)).toarray()
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-15 * np.max(
+            np.abs(want))
 
 
 @pytest.mark.parametrize("fields", [{}, _varying_fields()],
@@ -465,6 +475,39 @@ def test_mode_matrix_is_the_kronecker_form():
     want = mode_matrix_kron(*modes, *grid)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+@pytest.mark.parametrize("v3", [-1.5, 0.0, 1.5])
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_batched_tridiagonal_factor_matches_splu(n, v3):
+    """The preconditioner's banded factor of the transport modes against
+    the SuperLU solve of the mode matrix."""
+    cfg = _uniform_case(exchange=exchange(reaction=0.4, v3=v3,
+                                          diffusion=0.8), shape=(n,) * 4)
+    op = limit_transport._assemble_system(cfg, None, None)[0]
+    modes = separable_factors(op, slice(1, -1))
+    shape = tuple(m - 2 for m in op.shape)
+    r = np.random.default_rng(n).standard_normal(shape)
+    got = separable_inverse(*modes, shape, "dst1")(r.ravel())
+    want, _ = solve_separable(*modes, r, "dst1")
+    assert np.max(np.abs(got - want.ravel())) <= 1e-12 * (
+        1.0 + np.max(np.abs(want)))
+
+
+def test_batched_tridiagonal_factor_rejects_bad_blocks():
+    h = np.ones(3)
+    C = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    separable_inverse(C, h, h, (4, 4, 3), "dst1")
+    wide = C.copy()
+    wide[0, 2] = -0.1
+    with pytest.raises(ValueError, match="tridiagonal"):
+        separable_inverse(wide, h, h, (4, 4, 3), "dst1")
+    # the second pivot of the first mode is 2.5 + s - 9 / (2.5 + s) < 0
+    strong = 2.5 * np.eye(3) - 3.0 * np.eye(3, k=1) - 3.0 * np.eye(3, k=-1)
+    with pytest.raises(ValueError, match="pivot 1"):
+        separable_inverse(strong, 0.1 * h, 0.1 * h, (4, 4, 3), "dst1")
+    with pytest.raises(ValueError, match="pivot 2"):
+        separable_inverse(C, h, np.r_[1.0, 1.0, np.nan], (4, 4, 3), "dst1")
 
 
 def test_high_peclet_falls_back_to_splu():

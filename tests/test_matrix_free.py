@@ -1,8 +1,12 @@
 """The separable bed routes and the torsion cell form no Kronecker matrix,
-and the factor of the mode matrix adds no fill."""
+the factor of the mode matrix adds no fill, and the advective route forms
+no compressed or COO matrix and factors nothing."""
 
+import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse._compressed import _cs_matrix
+from scipy.sparse._coo import _coo_base
 
 from fisshom import _numerics, cli, limit_flow, limit_transport
 from fisshom.cell import solve_poisson_cell
@@ -12,7 +16,9 @@ from fisshom.limit_flow import FlowBC, FlowConfig, solve_limit_flow
 from fisshom.limit_transport import TransportConfig, solve_limit_transport
 
 from test_limit_flow import _separable_cases
-from test_limit_transport import _surface_sources, _uniform_case
+from test_limit_transport import (_surface_sources, _uniform_case,
+                                  _varying_fields)
+from _oracles import limit_transport_splu
 
 
 def test_separable_routes_form_no_matrix(monkeypatch):
@@ -79,3 +85,29 @@ def test_mode_factor_adds_no_fill(monkeypatch):
     for nnz, n, fill in factors:
         # L carries a unit diagonal: no entry outside the pattern of M
         assert fill <= nnz + n
+
+
+def test_advective_route_forms_no_grid_matrix(monkeypatch):
+    cfg = _uniform_case(**_varying_fields())
+    sources = _surface_sources()
+    ref = limit_transport_splu(cfg, *sources)
+    formed = []
+    for cls in (_cs_matrix, _coo_base):
+        original = cls.__init__
+
+        def recording(self, *args, original=original, **kwargs):
+            original(self, *args, **kwargs)
+            formed.append((type(self).__name__, self.shape))
+
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU was called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    sol = solve_limit_transport(cfg, *sources)
+    assert formed == []
+    assert sol.route == "krylov" and sol.residual <= 1e-9
+    for got, want in ((sol.u_plus, ref.u_plus), (sol.u_minus, ref.u_minus)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * (
+            1.0 + np.max(np.abs(want)))
