@@ -108,6 +108,20 @@ def fsum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
+def max_or_nan(values, default: float = -math.inf) -> float:
+    """The largest of `values` (`default` if none), or NaN if any is NaN:
+    the builtin `max` keeps a NaN only in first place (max(0.0, nan) is 0)."""
+    values = [float(v) for v in values]
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=default)
+
+
+def min_or_nan(values) -> float:
+    """The smallest of `values`, or NaN when any of them is NaN."""
+    return -max_or_nan(-float(v) for v in values)
+
+
 def positive_diagonal(value, n: int, label: str) -> np.ndarray:
     """Coerce a scalar, length-n vector or diagonal (n, n) matrix to a
     positive length-n diagonal, as two-point fluxes need."""

@@ -6,9 +6,12 @@ filtration), transport (coupled contaminant exchange), fissure (resolved
 single-tube profile and census), ergodic (bracket estimates over growing
 horizons), sweep (convergence ladders).  Every stage writes deterministic
 files; reruns with the same config are byte-identical except for the
-manifest timestamp.  Exit codes: 0 success, 2 config error (recorded in a
-manifest when `--out` names the directory), 3 solver failure or crash,
-4 acceptance-check failure.
+manifest timestamp.  Each acceptance check is one `gate` row (name, value,
+bound, relation, ok); each manifest step lists its rows under `gates`, and
+fails as `check_failed`, naming every failing row, when any row fails.  A
+check that does not apply to a run adds no row.  Exit codes: 0 success,
+2 config error (recorded in a manifest when `--out` names the directory),
+3 solver failure or crash, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import resource
 import sys
@@ -38,19 +42,6 @@ from .limit_transport import (TransportConfig, mass_balance_gap,
                               solve_limit_transport)
 from .stochastic import PhaseSequence, build_path, estimate_brackets
 from .verify import run_sweep
-
-class CheckFailure(Exception):
-    """A solved stage violated one of its acceptance gates.
-
-    Carries the names of files the stage wrote before the gate tripped, so
-    the manifest still indexes partial outputs (they are what one inspects
-    to diagnose the failure).
-    """
-
-    def __init__(self, message: str, files=()):
-        super().__init__(message)
-        self.files = list(files)
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -143,43 +134,38 @@ class _Context:
     def torsion(self):
         return solve_poisson_cell(self.cfg.cell_resolution)
 
-    @cached_property
-    def geometry(self) -> GeometryParams:
-        return GeometryParams(
-            epsilon=self.cfg.epsilon, theta=self.cfg.theta,
-            height=self.cfg.h_length, x1_extent=self.cfg.x1_extent,
-            x2_extent=self.cfg.x2_extent)
-
-    @cached_property
-    def phases(self) -> PhaseSequence:
-        return PhaseSequence(bound=self.cfg.phase_bound,
-                             seed=derive_seed(self.cfg.base_seed, 3))
-
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: each writes all its files and returns (file names, gate rows)
 
 
-def _spd_report(name: str, tensor: np.ndarray) -> dict:
-    tensor = np.asarray(tensor, dtype=float)
-    sym_gap = float(np.max(np.abs(tensor - tensor.T)))
-    eigs = np.linalg.eigvalsh(0.5 * (tensor + tensor.T))
-    if not sym_gap <= 1e-10:
-        raise CheckFailure(f"{name} tensor asymmetric (gap {sym_gap:.3e})")
-    if not eigs[0] > 0.0:
-        raise CheckFailure(f"{name} tensor not positive definite "
-                           f"(min eigenvalue {eigs[0]:.3e})")
-    return {"tensor": tensor, "symmetry_gap": sym_gap,
-            "min_eigenvalue": float(eigs[0])}
+# relation: (the comparison that passes, how a failing value breaks it)
+_RELATIONS = {"<=": (operator.le, "exceeds"), ">=": (operator.ge, "is below"),
+              "<": (operator.lt, "is not below"),
+              ">": (operator.gt, "is not above")}
 
 
-def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
+def gate(name: str, value, bound: float, relation: str = "<=") -> dict:
+    """One acceptance check as a manifest row.  `ok` is the comparison
+    `value relation bound` itself, so a NaN value fails every relation."""
+    value = float(value)
+    return {"name": name, "value": value, "bound": bound,
+            "relation": relation,
+            "ok": _RELATIONS[relation][0](value, bound)}
+
+
+def _breach(row: dict) -> str:
+    """A failing row in words, e.g. "flow residual 2.000e-09 exceeds 1e-9"."""
+    bound = f"{row['bound']:g}".replace("e-0", "e-")
+    return (f"{row['name']} {row['value']:.3e} "
+            f"{_RELATIONS[row['relation']][1]} {bound}")
+
+
+def _stage_cell(ctx: _Context, outdir: str):
     cfg = ctx.cfg
     torsion = ctx.torsion
-    if not torsion.identity_gap <= 1e-8:
-        raise CheckFailure(
-            f"tube drag integral identity gap {torsion.identity_gap:.3e} "
-            "exceeds 1e-8")
+    gates = [gate("tube drag integral identity gap", torsion.identity_gap,
+                  1e-8)]
     k_plus = np.diag(cfg.flow["k_plus"])
     k_minus = np.diag(cfg.flow["k_minus"])
     stats = ctx.stats
@@ -189,26 +175,35 @@ def _stage_cell(ctx: _Context, outdir: str) -> list[str]:
         "k0_identity_gap": torsion.identity_gap,
         "k0_residual": torsion.residual,
         "k0_route": torsion.route,
-        "drag": _spd_report("tube drag", torsion.k0 * np.eye(2)),
-        "permeability_plus": _spd_report("upper permeability", k_plus),
-        "permeability_minus": _spd_report("lower permeability", k_minus),
-        "diffusion_plus": _spd_report("upper diffusion",
-                                      np.diag(cfg.transport["diff_plus"])),
-        "diffusion_minus": _spd_report("lower diffusion",
-                                       np.diag(cfg.transport["diff_minus"])),
-        "interface_permeability_plus": _spd_report(
-            "interface permeability (upper)", compute_kstar(stats, k_plus)),
-        "interface_permeability_minus": _spd_report(
-            "interface permeability (lower)", compute_kstar(stats, k_minus)),
         "brackets": {"mean_q": stats.mean_q, "mean_q2": stats.mean_q2,
                      "mean_inv_q2": stats.mean_inv_q2,
                      "mean_r": stats.mean_r, "stderr": stats.stderr},
     }
+    # the symmetric positive definite tensors
+    for key, label, tensor in (
+            ("drag", "tube drag", torsion.k0 * np.eye(2)),
+            ("permeability_plus", "upper permeability", k_plus),
+            ("permeability_minus", "lower permeability", k_minus),
+            ("diffusion_plus", "upper diffusion",
+             np.diag(cfg.transport["diff_plus"])),
+            ("diffusion_minus", "lower diffusion",
+             np.diag(cfg.transport["diff_minus"])),
+            ("interface_permeability_plus", "interface permeability (upper)",
+             compute_kstar(stats, k_plus)),
+            ("interface_permeability_minus", "interface permeability (lower)",
+             compute_kstar(stats, k_minus))):
+        tensor = np.asarray(tensor, dtype=float)
+        sym_gap = float(np.max(np.abs(tensor - tensor.T)))
+        low = float(np.linalg.eigvalsh(0.5 * (tensor + tensor.T))[0])
+        report[key] = {"tensor": tensor, "symmetry_gap": sym_gap,
+                       "min_eigenvalue": low}
+        gates += [gate(f"{label} tensor asymmetry", sym_gap, 1e-10),
+                  gate(f"{label} tensor min eigenvalue", low, 0.0, ">")]
     _write_json(os.path.join(outdir, "cell.json"), report)
-    return ["cell.json"]
+    return ["cell.json"], gates
 
 
-def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
+def _stage_flow(ctx: _Context, outdir: str):
     cfg = ctx.cfg
     f = cfg.flow
     flow_cfg = FlowConfig(
@@ -222,15 +217,12 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
         gravity_minus=f["gravity_minus"])
     bc = FlowBC(kind=f["bc_kind"], p_top=f["p_top"], p_bottom=f["p_bottom"])
     sol = solve_limit_flow(flow_cfg, bc)
-    if not sol.residual <= 1e-9:
-        raise CheckFailure(f"flow residual {sol.residual:.3e} exceeds 1e-9")
     cont = sol.flux_continuity_gap()
-    if not cont <= 1e-8:
-        raise CheckFailure(f"flow interface flux continuity gap {cont:.3e} "
-                           "exceeds 1e-8")
     series = series_gap(sol, bc) if bc.kind == "pressure_ends" else None
-    if series is not None and not series <= 1e-12:
-        raise CheckFailure(f"flow series gap {series:.3e} exceeds 1e-12")
+    gates = [gate("flow residual", sol.residual, 1e-9),
+             gate("flow interface flux continuity gap", cont, 1e-8)]
+    if series is not None:
+        gates.append(gate("flow series gap", series, 1e-12))
     report = {
         "route": sol.route,
         "residual": sol.residual,
@@ -253,10 +245,10 @@ def _stage_flow(ctx: _Context, outdir: str) -> list[str]:
     _write_csv(os.path.join(outdir, "flow_interface.csv"),
                ("i", "j", "x1", "x2", "trace_plus", "trace_minus",
                 "interface_flux", "tube_velocity"), rows)
-    return ["flow.json", "flow_interface.csv"]
+    return ["flow.json", "flow_interface.csv"], gates
 
 
-def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
+def _stage_transport(ctx: _Context, outdir: str):
     cfg = ctx.cfg
     t = cfg.transport
     stats = ctx.stats
@@ -272,17 +264,13 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
         depth_minus=t["depth_minus_length"], x1_extent=cfg.x1_extent,
         x2_extent=cfg.x2_extent, shape=tuple(t["shape"]))
     sol = solve_limit_transport(tr_cfg)
-    if not sol.residual <= 1e-9:
-        raise CheckFailure(f"transport residual {sol.residual:.3e} "
-                           "exceeds 1e-9")
     balance = mass_balance_gap(sol)
-    if not balance <= 1e-8:
-        raise CheckFailure(f"transport balance gap {balance:.3e} "
-                           "exceeds 1e-8")
     lo, hi = sol.extrema()
-    if min(t["bc_plus"], t["bc_minus"]) >= 0.0 and not lo >= -1e-12:
-        raise CheckFailure(f"negative concentration {lo:.3e} under "
-                           "nonnegative boundary data")
+    gates = [gate("transport residual", sol.residual, 1e-9),
+             gate("transport balance gap", balance, 1e-8)]
+    if min(t["bc_plus"], t["bc_minus"]) >= 0.0:
+        gates.append(gate("transport min concentration under nonnegative "
+                          "boundary data", lo, -1e-12, ">="))
     flux_top, flux_bottom = sol.exchange_fluxes()
     mean_top, mean_bottom = sol.mean_exchange_fluxes()
     report = {
@@ -306,22 +294,23 @@ def _stage_transport(ctx: _Context, outdir: str) -> list[str]:
     _write_csv(os.path.join(outdir, "transport_traces.csv"),
                ("i", "j", "x1", "x2", "u_plus_trace", "u_minus_trace",
                 "flux_top", "flux_bottom"), rows)
-    return ["transport.json", "transport_traces.csv"]
+    return ["transport.json", "transport_traces.csv"], gates
 
 
-def _stage_fissure(ctx: _Context, outdir: str) -> list[str]:
+def _stage_fissure(ctx: _Context, outdir: str):
     cfg = ctx.cfg
-    fissures = enumerate_fissures(ctx.geometry, ctx.q_path, ctx.r_path,
-                                  ctx.phases)
+    geometry = GeometryParams(
+        epsilon=cfg.epsilon, theta=cfg.theta, height=cfg.h_length,
+        x1_extent=cfg.x1_extent, x2_extent=cfg.x2_extent)
+    phases = PhaseSequence(bound=cfg.phase_bound,
+                           seed=derive_seed(cfg.base_seed, 3))
+    fissures = enumerate_fissures(geometry, ctx.q_path, ctx.r_path, phases)
     census = fissure_census(fissures)
     mid = len(fissures) // 2
     tube_cfg = FissureODEConfig(
         fissure=fissures[mid], diffusion=cfg.transport["tube_diffusion"],
         reaction=cfg.transport["R_rate"], v3=cfg.transport["drift_v3"])
     gap = dual_route_gap(tube_cfg)
-    if not gap <= 1e-8:
-        raise CheckFailure(f"tube profile dual-route gap {gap:.3e} "
-                           "exceeds 1e-8")
     _write_csv(os.path.join(outdir, "fissure_census.csv"),
                census.dtype.names,
                [tuple(row) for row in census])
@@ -347,10 +336,11 @@ def _stage_fissure(ctx: _Context, outdir: str) -> list[str]:
     rows = list(zip(profile.x3, profile.values))
     _write_csv(os.path.join(outdir, "fissure_profile.csv"),
                ("x3", "concentration"), rows)
-    return ["fissure_census.csv", "fissure.json", "fissure_profile.csv"]
+    return (["fissure_census.csv", "fissure.json", "fissure_profile.csv"],
+            [gate("tube profile dual-route gap", gap, 1e-8)])
 
 
-def _stage_ergodic(ctx: _Context, outdir: str) -> list[str]:
+def _stage_ergodic(ctx: _Context, outdir: str):
     cfg = ctx.cfg
     horizons = cfg.ergodic["horizons"]
     window = cfg.ergodic["window_len"]
@@ -363,20 +353,18 @@ def _stage_ergodic(ctx: _Context, outdir: str) -> list[str]:
                         "stderr": st.stderr})
     stderrs = [e["stderr"] for e in entries]
     slope = fit_loglog_slope(horizons, stderrs)
-    if not slope < -0.2:
-        raise CheckFailure(
-            f"bracket standard error decays with rate {slope:.3f}; expected "
-            "clearly negative (about -0.5) over growing horizons")
     report = {"window_len": window, "estimates": entries,
               "stderr_rate": float(slope)}
     _write_json(os.path.join(outdir, "ergodic.json"), report)
-    return ["ergodic.json"]
+    # about -0.5 over growing horizons; the bound asks for clearly negative
+    return ["ergodic.json"], [gate("bracket standard error decay rate",
+                                   slope, -0.2, "<")]
 
 
-def _stage_sweep(ctx: _Context, outdir: str) -> list[str]:
+def _stage_sweep(ctx: _Context, outdir: str):
     cfg = ctx.cfg
     files = []
-    failures = []
+    gates = []
     for idx, target in enumerate(cfg.sweep["targets"]):
         kwargs = {
             "n_realizations": cfg.sweep["realizations"],
@@ -405,13 +393,10 @@ def _stage_sweep(ctx: _Context, outdir: str) -> list[str]:
         }
         _write_json(os.path.join(outdir, f"sweep_{target}.json"), report)
         files += [f"sweep_{target}.csv", f"sweep_{target}.json"]
-        for k in summary.metric_names:
-            if not summary.strictly_decreasing(k):
-                failures.append(f"{target}:{k}")
-    if failures:
-        raise CheckFailure("sweep medians not strictly decreasing for "
-                           + ", ".join(failures), files=files)
-    return files
+        gates += [gate(f"sweep {target}:{k} medians strictly decreasing: "
+                       "worst step", summary.worst_step(k), 0.0, "<")
+                  for k in summary.metric_names]
+    return files, gates
 
 
 # name: (function, every stage it needs, help line), in run order.  The
@@ -459,8 +444,9 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         stream=None) -> int:
     """Execute one subcommand; returns the process exit code.
 
-    A stage that raises anything other than a gate failure or a solver
-    error is recorded as `crashed`; the manifest is still written and the
+    A stage with a failing gate row is recorded as `check_failed`, one
+    that raises a solver error as `solver_error`, and one that raises
+    anything else as `crashed`; the manifest is still written and the
     stage's dependents are skipped.
     """
     if stream is None:
@@ -477,33 +463,32 @@ def run(cfg: ExperimentConfig, subcommand: str, out_dir: str | None = None,
         fn, needs, _ = _STAGE_TABLE[stage]
         if any(d in failed for d in needs):
             steps.append({"name": stage, "status": "skipped",
-                          "detail": "prerequisite failed", "outputs": []})
+                          "detail": "prerequisite failed", "outputs": [],
+                          "gates": []})
             print(f"[{stage}] skipped (prerequisite failed)", file=stream)
             continue
         t0 = time.perf_counter()
         try:
-            files = fn(ctx, outdir)
-            status, detail = "ok", ""
-        except CheckFailure as exc:
-            files, status, detail = exc.files, "check_failed", str(exc)
-            failed.add(stage)
+            files, gates = fn(ctx, outdir)
+            detail = "; ".join(_breach(g) for g in gates if not g["ok"])
+            status = "check_failed" if detail else "ok"
         except (ValueError, ArithmeticError, RuntimeError,
                 np.linalg.LinAlgError) as exc:
-            files, status, detail = [], "solver_error", str(exc)
-            failed.add(stage)
+            files, gates, status, detail = [], [], "solver_error", str(exc)
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
-            files, status = [], "crashed"
+            files, gates, status = [], [], "crashed"
             detail = f"{type(exc).__name__}: {exc}"
-            failed.add(stage)
         dt = time.perf_counter() - t0
         steps.append({"name": stage, "status": status, "detail": detail,
                       "seconds": round(dt, 3),
-                      "peak_rss_mb": _peak_rss_mb(), "outputs": files})
+                      "peak_rss_mb": _peak_rss_mb(), "outputs": files,
+                      "gates": gates})
         all_files += files
         if status == "ok":
             print(f"[{stage}] ok ({dt:.2f} s)", file=stream)
         else:
+            failed.add(stage)
             print(f"[{stage}] {status.upper()}: {detail}", file=stream)
     _write_manifest(outdir, cfg.config_hash(), subcommand, steps,
                     {name: _sha256(os.path.join(outdir, name))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import fsum
+from ._numerics import fsum, max_or_nan
 from .fissures import Fissure
 from .stochastic import WINDOW_LEN, window_means
 
@@ -276,12 +276,10 @@ def solve_z(cfg: FissureODEConfig, method: str = "volterra"
 
 def dual_route_gap(cfg: FissureODEConfig) -> float:
     """Sup-norm disagreement of the two solution routes over (w, z)."""
-    gap = 0.0
-    for solver in (solve_w, solve_z):
-        a = solver(cfg, method="volterra")
-        b = solver(cfg, method="rk4")
-        gap = max(gap, float(np.max(np.abs(a.values - b.values))))
-    return gap
+    return max_or_nan(
+        np.max(np.abs(solver(cfg, method="volterra").values
+                      - solver(cfg, method="rk4").values))
+        for solver in (solve_w, solve_z))
 
 
 def z_bottom_floor(cfg: FissureODEConfig) -> float:

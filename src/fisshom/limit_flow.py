@@ -41,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numerics import (TensorOperator, check_interval, checked_residual,
-                        on_grid, positive_diagonal, separable_factors,
-                        solve_separable, stiffness)
+                        max_or_nan, on_grid, positive_diagonal,
+                        separable_factors, solve_separable, stiffness)
 from .fissure_transport import vertical_velocity
 from .stochastic import ErgodicStats
 
@@ -220,8 +220,8 @@ class LimitFlowSolution:
         down_out_plus = ts.kp * grad_p - ts.g_p
         down_in_minus = ts.km * grad_m - ts.g_m
         v = self.interface_flux
-        return float(max(np.max(np.abs(down_out_plus - v)),
-                         np.max(np.abs(down_in_minus - v))))
+        return max_or_nan((np.max(np.abs(down_out_plus - v)),
+                           np.max(np.abs(down_in_minus - v))))
 
 
 class _TraceSystem(NamedTuple):
@@ -376,9 +376,9 @@ def series_gap(sol: LimitFlowSolution, bc: FlowBC) -> float:
     drop_m = cfg.gravity_minus * cfg.depth_minus
     resistance = res_p + 1.0 / cfg.coupling + res_m
     q = (p_top - p_bottom - drop_p - drop_m) / resistance
-    gap = max(resistance * np.max(np.abs(sol.interface_flux - q)),
-              np.max(np.abs(sol.trace_plus - (p_top - q * res_p - drop_p))),
-              np.max(np.abs(sol.trace_minus
-                            - (p_bottom + q * res_m + drop_m))))
+    gap = max_or_nan((
+        resistance * np.max(np.abs(sol.interface_flux - q)),
+        np.max(np.abs(sol.trace_plus - (p_top - q * res_p - drop_p))),
+        np.max(np.abs(sol.trace_minus - (p_bottom + q * res_m + drop_m)))))
     scale = 1.0 + abs(p_top) + abs(p_bottom) + abs(drop_p) + abs(drop_m)
-    return float(gap) / scale
+    return gap / scale

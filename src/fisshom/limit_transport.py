@@ -54,10 +54,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._numerics import (TensorOperator, axis_halves, bands, check_interval,
-                        checked_residual, fsum, on_grid, pin_rows,
-                        positive_diagonal, separable_factors,
-                        separable_inverse, solve_separable, solve_sparse,
-                        stiffness)
+                        checked_residual, fsum, max_or_nan, min_or_nan,
+                        on_grid, pin_rows, positive_diagonal,
+                        separable_factors, separable_inverse,
+                        solve_separable, solve_sparse, stiffness)
 from .fissure_transport import TransmissionCoeffs
 from .stochastic import ErgodicStats
 
@@ -315,8 +315,8 @@ class TransportSolution:
                      for flux in self.exchange_fluxes())
 
     def extrema(self) -> tuple[float, float]:
-        lo = min(float(self.u_plus.min()), float(self.u_minus.min()))
-        hi = max(float(self.u_plus.max()), float(self.u_minus.max()))
+        lo = min_or_nan((self.u_plus.min(), self.u_minus.min()))
+        hi = max_or_nan((self.u_plus.max(), self.u_minus.max()))
         return lo, hi
 
 
@@ -425,9 +425,9 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
     # normalize by coefficient magnitudes at the solution scale, not by the
     # realized terms: near-uniform states would otherwise divide roundoff
     # by roundoff
-    umax = 1.0 + max(float(np.max(np.abs(sol.u_plus))),
-                     float(np.max(np.abs(sol.u_minus))))
-    scale = 0.0
+    umax = 1.0 + max_or_nan((np.max(np.abs(sol.u_plus)),
+                             np.max(np.abs(sol.u_minus))))
+    scales = [0.0]
     resid = {}
     for mesh, u in ((meshp, sol.u_plus), (meshm, sol.u_minus)):
         r = np.zeros(mesh.shape)
@@ -435,25 +435,24 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
             mids, area, spacing = mesh.faces(axis)
             _divergence(r, -mesh.diff[axis] * np.diff(u, axis=axis)
                         / spacing * area, axis)
-            scale = max(scale,
-                        float(np.max(mesh.diff[axis] * area / spacing))
-                        * umax)
+            scales.append(float(np.max(mesh.diff[axis] * area / spacing))
+                          * umax)
             if mesh.velocity is not None:
                 v = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, mids)
                 lo, hi = axis_halves(axis, 3)
                 _divergence(r, v * area * np.where(v > 0.0, u[lo], u[hi]),
                             axis)
-                scale = max(scale, float(np.max(np.abs(v) * area)) * umax)
+                scales.append(float(np.max(np.abs(v) * area)) * umax)
         vol = mesh.volumes()
         if mesh.reaction != 0.0:
             r += mesh.reaction * vol * u
-            scale = max(scale, mesh.reaction * float(np.max(vol)) * umax)
+            scales.append(mesh.reaction * float(np.max(vol)) * umax)
         src = cfg.source_plus if mesh.side == "plus" else cfg.source_minus
         if src is not None:
             s = on_grid(src, *mesh.axes)
             factor = cfg.cell_porosity if mesh.side == "plus" else 1.0
             r -= factor * s * vol
-            scale = max(scale, float(np.max(np.abs(s * vol))))
+            scales.append(float(np.max(np.abs(s * vol))))
         resid[mesh.side] = r
 
     area = meshp.plane_area()
@@ -461,8 +460,8 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
     resid["plus"][:, :, 0] += area * top
     resid["minus"][:, :, -1] -= area * bottom
     ex = cfg.exchange
-    scale = max(scale, ex.exchange_scale * ex.cosh_factor
-                * (1.0 + ex.advective_factor) * float(np.max(area)) * umax)
+    scales.append(ex.exchange_scale * ex.cosh_factor
+                  * (1.0 + ex.advective_factor) * float(np.max(area)) * umax)
     tr = sol.trace_plus
     sscale = cfg.surface_scale
     rp = resid["plus"][:, :, 0]
@@ -472,8 +471,8 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
             ds = cfg.surface_diffusion[axis]
             _divergence(rp, -sscale * ds * np.diff(tr, axis=axis) / spacing
                         * length, axis)
-            scale = max(scale,
-                        float(np.max(sscale * ds * length / spacing)) * umax)
+            scales.append(float(np.max(sscale * ds * length / spacing))
+                          * umax)
     if cfg.surface_velocity is not None:
         for axis in range(2):
             mids, length, _ = meshp.faces(axis, dims=2)
@@ -482,18 +481,16 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
             lo, hi = axis_halves(axis, 2)
             _divergence(rp, sscale * v * length
                         * np.where(v > 0.0, tr[lo], tr[hi]), axis)
-            scale = max(scale,
-                        float(np.max(sscale * np.abs(v) * length)) * umax)
+            scales.append(float(np.max(sscale * np.abs(v) * length))
+                          * umax)
     for src, r in ((surface_source, rp),
                    (surface_source_minus, resid["minus"][:, :, -1])):
         if src is not None:
             s = on_grid(src, *meshp.axes[:2])
             r -= s * area
-            scale = max(scale, float(np.max(np.abs(s * area))))
+            scales.append(float(np.max(np.abs(s * area))))
 
-    worst = 0.0
     for mesh in (meshp, meshm):
-        r = resid[mesh.side]
-        r[mesh.boundary_mask()] = 0.0
-        worst = max(worst, float(np.max(np.abs(r))))
-    return worst / scale
+        resid[mesh.side][mesh.boundary_mask()] = 0.0
+    worst = max_or_nan(np.max(np.abs(r)) for r in resid.values())
+    return worst / max_or_nan(scales)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import (derive_seed, fit_loglog_slope, fsum, sym_inv_sqrt,
-                        uniform_from_hash)
+from ._numerics import (derive_seed, fit_loglog_slope, fsum, max_or_nan,
+                        sym_inv_sqrt, uniform_from_hash)
 from .cell import TorsionCell, compute_kstar, solve_poisson_cell
 from .fissure_transport import (FissureODEConfig, PairBrackets,
                                 fine_interface_fluxes, limit_comparison,
@@ -69,9 +69,14 @@ class SweepSummary:
     iqrs: dict[str, tuple[float, ...]]
     rows: tuple[dict, ...]
 
-    def strictly_decreasing(self, metric: str) -> bool:
+    def worst_step(self, metric: str) -> float:
+        """max(b - a) over consecutive medians: negative exactly when they
+        decrease strictly, NaN when a step is NaN (inf - inf among them)."""
         m = self.medians[metric]
-        return all(b < a for a, b in zip(m, m[1:]))
+        return max_or_nan(b - a for a, b in zip(m, m[1:]))
+
+    def strictly_decreasing(self, metric: str) -> bool:
+        return self.worst_step(metric) < 0.0
 
     def final_median(self, metric: str) -> float:
         return self.medians[metric][-1]
@@ -402,8 +407,8 @@ def flux_exchange_constant_gap() -> float:
     top, bottom = fine_interface_fluxes(cfg, u_plus, u_minus)
     ref_top = coeffs.flux_top(u_plus, u_minus)
     ref_bottom = coeffs.flux_bottom(u_plus, u_minus)
-    return max(abs(top - ref_top) / abs(ref_top),
-               abs(bottom - ref_bottom) / abs(ref_bottom))
+    return max_or_nan((abs(top - ref_top) / abs(ref_top),
+                       abs(bottom - ref_bottom) / abs(ref_bottom)))
 
 
 _SWEEPS = {

@@ -1,15 +1,20 @@
 """Config validation, staged runs, manifest integrity, exit codes."""
 
+import ast
 import hashlib
+import inspect
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fisshom import __version__, cli
-from fisshom.cli import main, run
+from fisshom import __version__, cli, fissure_transport, verify
+from fisshom.cli import gate, main, run
 from fisshom.config import ConfigError, default_config, parse_config
+from fisshom.limit_flow import series_gap
+from fisshom.limit_transport import mass_balance_gap
 
 SMALL = """
 run: {{base_seed: 7, output_dir: "{out}"}}
@@ -352,3 +357,205 @@ def test_main_ergodic_stage(tmp_path):
     assert report["stderr_rate"] < -0.2
     stderrs = [e["stderr"] for e in report["estimates"]]
     assert stderrs[0] > stderrs[-1]
+
+
+# ---------------------------------------------------------------------------
+# the gate ledger
+
+# the rows of a small-config `fisshom all`, per step
+TENSORS = ("tube drag", "upper permeability", "lower permeability",
+           "upper diffusion", "lower diffusion",
+           "interface permeability (upper)", "interface permeability (lower)")
+GATES = {
+    "cell": {"tube drag integral identity gap"}
+    | {f"{t} tensor {c}" for t in TENSORS
+       for c in ("asymmetry", "min eigenvalue")},
+    "flow": {"flow residual", "flow interface flux continuity gap",
+             "flow series gap"},
+    "transport": {"transport residual", "transport balance gap",
+                  "transport min concentration under nonnegative boundary "
+                  "data"},
+    "fissure": {"tube profile dual-route gap"},
+    "ergodic": {"bracket standard error decay rate"},
+    "sweep": {f"sweep exchange:{m} medians strictly decreasing: worst step"
+              for m in ("rel_err_top", "rel_err_bottom")},
+}
+
+
+def test_gate_rows_fail_on_nan():
+    assert gate("g", 1e-9, 1e-8) == {"name": "g", "value": 1e-9,
+                                     "bound": 1e-8, "relation": "<=",
+                                     "ok": True}
+    for relation in ("<=", "<", ">", ">="):
+        assert not gate("g", math.nan, 0.0, relation)["ok"]
+    assert not gate("g", 0.0, 0.0, "<")["ok"]
+    assert gate("g", 0.0, 0.0, ">=")["ok"]
+
+
+def test_stages_raise_no_check_failure():
+    # a stage reports its checks as rows; only the runner judges them
+    tree = ast.parse(inspect.getsource(cli))
+    stages = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_stage_")]
+    assert {node.name[len("_stage_"):] for node in stages} == set(cli.STAGES)
+    for node in stages:
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(node)), \
+            node.name
+    assert not hasattr(cli, "CheckFailure")
+    assert not any(isinstance(node, ast.ClassDef)
+                   and node.name == "CheckFailure" for node in tree.body)
+
+
+def test_manifest_lists_every_gate(tmp_path):
+    rows = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run(small_config(out), "all") == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert {s["name"]: {g["name"] for g in s["gates"]}
+                for s in man["steps"]} == GATES
+        rows.append([g for s in man["steps"] for g in s["gates"]])
+        assert len(rows[-1]) == sum(len(names) for names in GATES.values())
+        for g in rows[-1]:
+            assert math.isfinite(g["value"]) and g["ok"], g
+    assert [g["value"] for g in rows[0]] == [g["value"] for g in rows[1]]
+
+
+def _break_energy_identity(torsion):
+    return replace(torsion, k0_energy=2.0 * torsion.k0)
+
+
+def _reverse_first_median(summary):
+    medians = dict(summary.medians)
+    medians["rel_err_top"] = medians["rel_err_top"][::-1]
+    return replace(summary, medians=medians)
+
+
+def _wrap(fn, after):
+    return lambda *args, **kwargs: after(fn(*args, **kwargs))
+
+
+# stage: (attribute of cli, its replacement given the original, failing row)
+MUTATIONS = {
+    "cell": ("solve_poisson_cell",
+             lambda real: _wrap(real, _break_energy_identity),
+             "tube drag integral identity gap"),
+    "flow": ("series_gap", lambda real: lambda sol, bc: 1e-6,
+             "flow series gap"),
+    "transport": ("mass_balance_gap", lambda real: lambda sol: 1e-6,
+                  "transport balance gap"),
+    "fissure": ("dual_route_gap", lambda real: lambda cfg: 1e-6,
+                "tube profile dual-route gap"),
+    "ergodic": ("fit_loglog_slope", lambda real: lambda x, y: -0.1,
+                "bracket standard error decay rate"),
+    "sweep": ("run_sweep", lambda real: _wrap(real, _reverse_first_median),
+              "sweep exchange:rel_err_top medians strictly decreasing: "
+              "worst step"),
+}
+
+
+@pytest.mark.parametrize("stage", list(MUTATIONS))
+def test_one_failing_row_fails_its_stage(tmp_path, monkeypatch, stage):
+    attr, mutate, row_name = MUTATIONS[stage]
+    monkeypatch.setattr(cli, attr, mutate(getattr(cli, attr)))
+    out = tmp_path / "out"
+    assert run(small_config(out), stage) == 4
+    man = json.loads((out / "manifest.json").read_text())
+    step = man["steps"][-1]
+    assert step["name"] == stage and step["status"] == "check_failed"
+    assert [g["name"] for g in step["gates"] if not g["ok"]] == [row_name]
+    assert step["detail"].startswith(row_name + " ")
+    # a failing row still leaves every file of the stage written and indexed
+    assert step["outputs"] and set(step["outputs"]) <= set(man["files"])
+
+
+def test_every_failing_row_is_named(tmp_path, monkeypatch):
+    # an indefinite interface permeability fails both of its rows
+    monkeypatch.setattr(cli, "compute_kstar", lambda stats, k: -k)
+    out = tmp_path / "out"
+    assert run(small_config(out), "cell") == 4
+    (step,) = json.loads((out / "manifest.json").read_text())["steps"]
+    assert step["status"] == "check_failed"
+    names = [g["name"] for g in step["gates"] if not g["ok"]]
+    assert names == [f"interface permeability ({side}) tensor min eigenvalue"
+                     for side in ("upper", "lower")]
+    parts = step["detail"].split("; ")
+    assert len(parts) == 2
+    assert all(part.startswith(name + " ") and part.endswith(" is not above 0")
+               for part, name in zip(parts, names))
+    assert step["outputs"] == ["cell.json"]
+
+
+@pytest.fixture(scope="module")
+def solutions(tmp_path_factory):
+    """The flow and transport solutions (and the flow boundary data) of the
+    small config's stages."""
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_limit_flow", "solve_limit_transport"):
+            real = getattr(cli, name)
+
+            def keep(*args, real=real, name=name):
+                seen[name] = (real(*args), args)
+                return seen[name][0]
+
+            mp.setattr(cli, name, keep)
+        out = tmp_path_factory.mktemp("solutions")
+        for stage in ("flow", "transport"):
+            assert run(small_config(out), stage) == 0
+    flow, (_, bc) = seen["solve_limit_flow"]
+    return {"flow": flow, "bc": bc,
+            "transport": seen["solve_limit_transport"][0]}
+
+
+def _with_nan(sol, field, index=(1, 1, 1)):
+    values = getattr(sol, field).copy()
+    values[index] = np.nan
+    return replace(sol, **{field: values})
+
+
+def _nan_tube_route(monkeypatch):
+    real = fissure_transport.solve_z
+
+    def solve_z(cfg, method="volterra"):
+        sol = real(cfg, method)
+        return replace(sol, values=np.full_like(sol.values, np.nan))
+
+    monkeypatch.setattr(fissure_transport, "solve_z", solve_z)
+    return fissure_transport.dual_route_gap(verify._constant_tube())
+
+
+def _nan_bottom_flux(monkeypatch):
+    real = verify.fine_interface_fluxes
+    monkeypatch.setattr(verify, "fine_interface_fluxes",
+                        lambda *args: (real(*args)[0], np.nan))
+    return verify.flux_exchange_constant_gap()
+
+
+# each puts one NaN where the builtin max or min would have dropped it
+NAN_CASES = {
+    "mass_balance_gap u_minus": lambda s, mp: mass_balance_gap(
+        _with_nan(s["transport"], "u_minus")),
+    "mass_balance_gap u_plus": lambda s, mp: mass_balance_gap(
+        _with_nan(s["transport"], "u_plus")),
+    "extrema low": lambda s, mp: _with_nan(
+        s["transport"], "u_minus").extrema()[0],
+    "extrema high": lambda s, mp: _with_nan(
+        s["transport"], "u_minus").extrema()[1],
+    "flux_continuity_gap": lambda s, mp: _with_nan(
+        s["flow"], "trace_minus", (1, 1)).flux_continuity_gap(),
+    "series_gap": lambda s, mp: series_gap(
+        _with_nan(s["flow"], "trace_minus", (1, 1)), s["bc"]),
+    "dual_route_gap": lambda s, mp: _nan_tube_route(mp),
+    "flux_exchange_constant_gap": lambda s, mp: _nan_bottom_flux(mp),
+    "sweep worst_step": lambda s, mp: verify.SweepSummary(
+        "x", (0.1, 0.05, 0.02), 1, ("m",), {"m": (1.0, 0.5, np.nan)}, {}, ()
+    ).worst_step("m"),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_CASES))
+def test_gate_values_carry_nan(solutions, monkeypatch, case):
+    value = NAN_CASES[case](solutions, monkeypatch)
+    assert math.isnan(value)
+    assert not gate(case, value, 1.0)["ok"]
