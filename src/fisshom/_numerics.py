@@ -1,5 +1,6 @@
-"""Shared low-level numerics: seeding, quadrature, finite-volume assembly,
-sparse solver wrappers, and the separable bed operators.
+"""Shared low-level numerics: seeding, quadrature, exact sums,
+finite-volume assembly, sparse and Krylov solvers, and the separable bed
+operators.
 
 Everything here is deliberately boring.  Deterministic seeding uses
 splitmix64 so that per-index draws are stateless and identical across
@@ -14,11 +15,17 @@ Thomas 1964): SuperLU factors them in natural order, without fill
 (`solve_separable`), or one batched LU factors them all together
 (`separable_inverse`).  The tests keep the Kronecker sum of the factors and
 the face-by-face COO assemblies of both bed matrices as their references.
+
+Non-separable systems go to a small restarted GMRES (`gmres`,
+right-preconditioned, CGS2 Arnoldi with Givens rotations), which accepts a
+solution only on its true residual; SuperLU (`solve_sparse`) remains the
+direct fallback.  `fsum` sums exactly with bounded memory.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -104,8 +111,18 @@ def panel_quadrature(a, b, n_panels: int, order: int = 6):
     return nodes, weights
 
 
+# elements that `fsum` converts to Python floats at a time
+_FSUM_CHUNK = 4096
+
+
 def fsum(values) -> float:
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """The exactly rounded sum of `values` (`math.fsum`), fed chunk by
+    chunk so that only `_FSUM_CHUNK` of them exist as Python floats at
+    once; exact rounding makes it independent of the chunking."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return math.fsum(itertools.chain.from_iterable(
+        flat[i:i + _FSUM_CHUNK].tolist()
+        for i in range(0, flat.size, _FSUM_CHUNK)))
 
 
 def max_or_nan(values, default: float = -math.inf) -> float:
@@ -435,6 +452,62 @@ def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                        norm="ortho").ravel()
 
     return apply
+
+
+def gmres(matvec, b: np.ndarray, precondition, rtol: float, restart: int,
+          cycles: int):
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b, with A given by
+    its product `matvec`, right-preconditioned by M = `precondition`.
+
+    Each cycle orthonormalizes the Krylov basis V of A M by classical
+    Gram-Schmidt with one reorthogonalization (CGS2), makes its Hessenberg
+    matrix triangular by Givens rotations, stops after `restart` steps or
+    once the rotated residual reaches rtol ||b||, and adds M (V y) to x.  x
+    is accepted only on its true residual, ||b - A x|| <= rtol ||b||,
+    measured once per cycle.  Returns (x, iterations): x None when no cycle
+    was accepted, iterations the Arnoldi steps of all cycles."""
+    x = np.zeros_like(b)
+    target = rtol * np.linalg.norm(b)
+    r = b.copy()
+    V = np.empty((restart + 1, b.size))
+    iterations = 0
+    for _ in range(cycles):
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            return x, iterations
+        V[0] = r / beta
+        R = np.zeros((restart, restart))
+        g = [beta]
+        rotations = []
+        for j in range(restart):
+            w = matvec(precondition(V[j]))
+            iterations += 1
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            again = V[:j + 1] @ w
+            w -= again @ V[:j + 1]
+            column = (h + again).tolist()
+            below = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
+                                            c * column[i + 1] - s * column[i])
+            diagonal = math.hypot(column[j], below)
+            c, s = column[j] / diagonal, below / diagonal
+            rotations.append((c, s))
+            column[j] = diagonal
+            R[:j + 1, j] = column
+            g[j:] = [c * g[j], -s * g[j]]
+            # below == 0: the Krylov space holds the solution
+            if abs(g[j + 1]) <= target or below == 0.0:
+                break
+            V[j + 1] = w / below
+        k = len(rotations)
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - R[i, i + 1:k] @ y[i + 1:]) / R[i, i]
+        x += precondition(y @ V[:k])
+        r = b - matvec(x)
+    return (x if np.linalg.norm(r) <= target else None), iterations
 
 
 def fit_loglog_slope(x, y) -> float:

@@ -31,14 +31,17 @@ data move to the right-hand side through A, and the interior vertices are
 solved.  Without velocities S acts in tensor form, and its interior
 factors give one tridiagonal column system per horizontal mode of an
 orthonormal sine transform (`_numerics.solve_separable`).  Any velocity
-makes A non-separable; A is then written once as its seven diagonals, at
-the grid offsets 0, +-1, +-nz and +-(n2 + 1) nz, and restarted GMRES
-solves the interior with its product, preconditioned by the separable
-inverse of S (`_numerics.separable_inverse`; Concus & Golub 1973).  Where
-GMRES does not converge within its fixed iteration cap, as at very high
-Peclet numbers, the Dirichlet-pinned A goes to SuperLU.  Every route
-measures the residual of that pinned system, and the solution records the
-route and its GMRES iterations.  The tests keep the face-by-face
+makes A non-separable.  Each velocity field is then called once on each of
+its face grids; A is written once, straight into the data of its seven
+diagonals at the grid offsets 0, +-1, +-nz and +-(n2 + 1) nz, and the
+restarted GMRES of `_numerics.gmres` solves the interior with its product,
+right-preconditioned by the separable inverse of S
+(`_numerics.separable_inverse`; Concus & Golub 1973).  Where GMRES does
+not converge within its fixed iteration cap, as at very high Peclet
+numbers, the Dirichlet-pinned A goes to SuperLU.  Every route measures the
+residual of that pinned system, and the solution records the route, its
+GMRES iterations and the face velocities, which the balance check reads
+instead of calling the fields again.  The tests keep the face-by-face
 assemblies of S and U as their independent references.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
@@ -51,11 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._numerics import (TensorOperator, axis_halves, bands, check_interval,
-                        checked_residual, fsum, max_or_nan, min_or_nan,
-                        on_grid, pin_rows, positive_diagonal,
+                        checked_residual, fsum, gmres, max_or_nan,
+                        min_or_nan, on_grid, pin_rows, positive_diagonal,
                         separable_factors, separable_inverse,
                         solve_separable, solve_sparse, stiffness)
 from .fissure_transport import TransmissionCoeffs
@@ -167,7 +169,6 @@ class _BedMesh:
         self.diff = cfg.diff_plus if side == "plus" else cfg.diff_minus
         self.reaction = (cfg.reaction_plus if side == "plus"
                          else cfg.reaction_minus)
-        self.velocity = cfg.vel_plus if side == "plus" else cfg.vel_minus
 
     def boundary_mask(self) -> np.ndarray:
         """True on Dirichlet vertices: every outer face, so all boundary
@@ -208,15 +209,29 @@ class _BedMesh:
         return mids, size, along(np.diff(axes[axis]), axis)
 
 
-def _velocity(field, name: str, axis: int, mids) -> np.ndarray:
-    """Component `axis` of the velocity callable `field` on the grid of the
-    axes `mids`; raises ValueError naming the field where it is not
-    finite."""
-    v = np.asarray(field(*np.meshgrid(*mids, indexing="ij"))[axis],
-                   dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+def _face_velocities(cfg: TransportConfig, meshp: _BedMesh,
+                     meshm: _BedMesh) -> dict:
+    """Each given velocity field called once on each of its face grids: the
+    bed fields on the faces of their bed, the surface field on the edges of
+    the interface plane.  Maps the field's name to its face-normal
+    component on the faces of each axis; raises ValueError naming a field
+    where it is not finite."""
+    samples = {}
+    for name, mesh, dims in (("vel_plus", meshp, 3), ("vel_minus", meshm, 3),
+                             ("surface_velocity", meshp, 2)):
+        field = getattr(cfg, name)
+        if field is None:
+            continue
+        normal = []
+        for axis in range(dims):
+            mids, _, _ = mesh.faces(axis, dims)
+            v = np.asarray(field(*np.meshgrid(*mids, indexing="ij"))[axis],
+                           dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
+            normal.append(v)
+        samples[name] = tuple(normal)
+    return samples
 
 
 def _operator(cfg: TransportConfig, meshp: _BedMesh,
@@ -249,49 +264,60 @@ def _operator(cfg: TransportConfig, meshp: _BedMesh,
 
 
 def _diagonal_form(cfg: TransportConfig, op: TensorOperator,
-                   meshp: _BedMesh, meshm: _BedMesh) -> sp.dia_matrix:
+                   meshp: _BedMesh, meshm: _BedMesh,
+                   velocities: dict) -> sp.dia_matrix:
     """A = S + U as its diagonals at the grid's neighbour offsets, ascending,
-    so that its product sums each row in column order.  S sums its factors'
-    diagonals in the order of `op.terms()`; U, added last, sums the upwind
-    face fluxes of the upper bed, lower bed and surface, axis by axis."""
+    so that its product sums each row in column order.  DIA keeps the entry
+    (i, i + o) in column i + o, so each entry is written straight to the
+    grid index of its column.  S sums its factors' diagonals in the order of
+    `op.terms()`; U, summed apart and added last, sums the upwind face
+    fluxes of the `velocities` (`_face_velocities`) of the upper bed, lower
+    bed and surface, axis by axis."""
     stride = (op.shape[1] * op.shape[2], op.shape[2], 1)
-    S, U = {}, {}
+    offsets = sorted({0, *stride, *(-t for t in stride)})
+    row = {o: k for k, o in enumerate(offsets)}
+    data = np.zeros((len(offsets),) + op.shape)
     for axis, M, across in op.terms():
-        for s, rows, _, m in bands(M, axis):
-            S.setdefault(s * stride[axis], np.zeros(op.shape))[rows] += (
+        for s, _, cols, m in bands(M, axis):
+            data[row[s * stride[axis]]][cols] += (
                 m * np.expand_dims(across, axis))
-    fields = [(mesh, mesh.velocity, f"vel_{mesh.side}", mesh.layers, 3, 1.0)
-              for mesh in (meshp, meshm)]
-    fields.append((meshp, cfg.surface_velocity, "surface_velocity",
-                   meshp.layers.start, 2, cfg.surface_scale))
-    for mesh, field, name, plane, dims, scale in fields:
-        for axis in range(dims if field is not None else 0):
-            mids, size, _ = mesh.faces(axis, dims)
+    upwind = np.zeros_like(data)
+    for mesh, name, plane, scale in (
+            (meshp, "vel_plus", meshp.layers, 1.0),
+            (meshm, "vel_minus", meshm.layers, 1.0),
+            (meshp, "surface_velocity", meshp.layers.start,
+             cfg.surface_scale)):
+        normal = velocities.get(name, ())
+        for axis, v in enumerate(normal):
+            _, size, _ = mesh.faces(axis, len(normal))
             # face-normal velocity times face size, positive from lo to hi
-            flux = scale * _velocity(field, name, axis, mids) * size
-            lo, hi = axis_halves(axis, dims)
+            flux = scale * v * size
+            lo, hi = axis_halves(axis, len(normal))
             pos, neg = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
-            for offset, rows, value in ((0, lo, pos), (stride[axis], lo, neg),
-                                        (-stride[axis], hi, -pos),
+            # the rows lo and hi of a face couple the columns hi and lo
+            for offset, cols, value in ((0, lo, pos), (stride[axis], hi, neg),
+                                        (-stride[axis], lo, -pos),
                                         (0, hi, -neg)):
-                U.setdefault(offset, np.zeros(op.shape))[:, :, plane][
-                    rows] += value
-    for offset, d in U.items():
-        S[offset] = S.get(offset, 0.0) + d
-    offsets = sorted(S)
-    # DIA keeps the entry (i, i + o) in column i + o
-    data = np.array([np.roll(S[o].ravel(), o) for o in offsets])
-    return sp.dia_matrix((data, offsets), shape=(data.shape[1],) * 2)
+                upwind[row[offset]][:, :, plane][cols] += value
+    data += upwind
+    return sp.dia_matrix((data.reshape(len(offsets), -1), offsets),
+                         shape=(data[0].size,) * 2)
 
 
 @dataclass
 class TransportSolution:
+    """The concentrations of both beds, the residual of the pinned system
+    and the route that solved it, with the face velocities that built A
+    (`_face_velocities`): the balance check re-walks the divergence with
+    these samples, so no field is called twice."""
+
     config: TransportConfig
     u_plus: np.ndarray
     u_minus: np.ndarray
     residual: float
     route: str          # "separable" (mode by mode), "krylov" or "splu"
     iterations: int     # GMRES iterations run, also before an splu fallback
+    face_velocities: dict  # by field name, per axis; empty when separable
 
     @property
     def trace_plus(self) -> np.ndarray:
@@ -358,15 +384,9 @@ def _solve_krylov(A: sp.dia_matrix, rhs: np.ndarray, modes):
         full[_INTERIOR] = x.reshape(rhs.shape)
         return (A @ full.ravel()).reshape(full.shape)[_INTERIOR].ravel()
 
-    square = (rhs.size,) * 2
-    steps = []
-    x, info = spla.gmres(
-        spla.LinearOperator(square, matvec=product), rhs.ravel(),
-        rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-        maxiter=_GMRES_CYCLES, M=spla.LinearOperator(
-            square, matvec=separable_inverse(*modes, rhs.shape, "dst1")),
-        callback=steps.append, callback_type="pr_norm")
-    return (x if info == 0 else None), len(steps)
+    return gmres(product, rhs.ravel(),
+                 separable_inverse(*modes, rhs.shape, "dst1"),
+                 _GMRES_RTOL, _GMRES_RESTART, _GMRES_CYCLES)
 
 
 def solve_limit_transport(cfg: TransportConfig, surface_source=None,
@@ -376,21 +396,23 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
 
     Without velocities the interior is solved mode by mode in a sine basis
     (`solve_separable`), and S applies itself in tensor form.  With any
-    velocity, restarted GMRES solves it with the product of the diagonal
-    form of A, preconditioned by the separable inverse of S, and SuperLU
-    solves the Dirichlet-pinned A if GMRES does not converge.  Every route
-    measures the residual of the pinned system (`checked_residual`)."""
+    velocity, each field is sampled once per face grid, and the restarted
+    GMRES of `_numerics.gmres` solves the interior with the product of the
+    diagonal form of A, right-preconditioned by the separable inverse of S;
+    SuperLU solves the Dirichlet-pinned A if GMRES does not converge.  Every
+    route measures the residual of the pinned system (`checked_residual`),
+    and the solution keeps the face velocities for `mass_balance_gap`."""
     op, b, fixed, data, meshp, meshm = _assemble_system(
         cfg, surface_source, surface_source_minus)
     modes = separable_factors(op, slice(1, -1))
-    separable = (cfg.vel_plus is None and cfg.vel_minus is None
-                 and cfg.surface_velocity is None)
-    A = op if separable else _diagonal_form(cfg, op, meshp, meshm)
+    velocities = _face_velocities(cfg, meshp, meshm)
+    A = (_diagonal_form(cfg, op, meshp, meshm, velocities) if velocities
+         else op)
     rhs = (b - A @ data).reshape(op.shape)[_INTERIOR]
     u = data.copy()
     inside = u.reshape(op.shape)[_INTERIOR]  # a view of u
     iterations = 0
-    if separable:
+    if not velocities:
         route = "separable"
         inside[...], _ = solve_separable(*modes, rhs, "dst1")
     else:
@@ -404,7 +426,8 @@ def solve_limit_transport(cfg: TransportConfig, surface_source=None,
         residual = checked_residual(A @ u, u, b, fixed, data)
     return TransportSolution(config=cfg, u_plus=u[meshp.index],
                              u_minus=u[meshm.index], residual=residual,
-                             route=route, iterations=iterations)
+                             route=route, iterations=iterations,
+                             face_velocities=velocities)
 
 
 def _divergence(r: np.ndarray, flux: np.ndarray, axis: int):
@@ -418,7 +441,9 @@ def _divergence(r: np.ndarray, flux: np.ndarray, axis: int):
 def mass_balance_gap(sol: TransportSolution, surface_source=None,
                      surface_source_minus=None) -> float:
     """Re-walk the solved fields with array shifts (independently of the
-    sparse assembly) and report the worst normalized vertex defect."""
+    sparse assembly) and report the worst normalized vertex defect.  The
+    advective fluxes take the face velocities that the solve sampled and
+    stored in `sol`."""
     cfg = sol.config
     meshp = _BedMesh(cfg, "plus")
     meshm = _BedMesh(cfg, "minus")
@@ -431,14 +456,15 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
     resid = {}
     for mesh, u in ((meshp, sol.u_plus), (meshm, sol.u_minus)):
         r = np.zeros(mesh.shape)
+        normal = sol.face_velocities.get(f"vel_{mesh.side}")
         for axis in range(3):
-            mids, area, spacing = mesh.faces(axis)
+            _, area, spacing = mesh.faces(axis)
             _divergence(r, -mesh.diff[axis] * np.diff(u, axis=axis)
                         / spacing * area, axis)
             scales.append(float(np.max(mesh.diff[axis] * area / spacing))
                           * umax)
-            if mesh.velocity is not None:
-                v = _velocity(mesh.velocity, f"vel_{mesh.side}", axis, mids)
+            if normal is not None:
+                v = normal[axis]
                 lo, hi = axis_halves(axis, 3)
                 _divergence(r, v * area * np.where(v > 0.0, u[lo], u[hi]),
                             axis)
@@ -473,16 +499,13 @@ def mass_balance_gap(sol: TransportSolution, surface_source=None,
                         * length, axis)
             scales.append(float(np.max(sscale * ds * length / spacing))
                           * umax)
-    if cfg.surface_velocity is not None:
-        for axis in range(2):
-            mids, length, _ = meshp.faces(axis, dims=2)
-            v = _velocity(cfg.surface_velocity, "surface_velocity", axis,
-                          mids)
-            lo, hi = axis_halves(axis, 2)
-            _divergence(rp, sscale * v * length
-                        * np.where(v > 0.0, tr[lo], tr[hi]), axis)
-            scales.append(float(np.max(sscale * np.abs(v) * length))
-                          * umax)
+    for axis, v in enumerate(sol.face_velocities.get("surface_velocity",
+                                                     ())):
+        _, length, _ = meshp.faces(axis, dims=2)
+        lo, hi = axis_halves(axis, 2)
+        _divergence(rp, sscale * v * length
+                    * np.where(v > 0.0, tr[lo], tr[hi]), axis)
+        scales.append(float(np.max(sscale * np.abs(v) * length)) * umax)
     for src, r in ((surface_source, rp),
                    (surface_source_minus, resid["minus"][:, :, -1])):
         if src is not None:

@@ -387,8 +387,9 @@ class ErgodicStats:
 
 # Window length of the path averages, in path time.
 WINDOW_LEN = 25.0
-# quadrature nodes sampled per call of `window_means`' callback
-_WINDOW_BLOCK_NODES = 1 << 16
+# quadrature nodes sampled per call of `window_means`' callback; it bounds
+# the memory of a block's samples and of the Python rows `math.fsum` sums
+_WINDOW_BLOCK_NODES = 1 << 14
 
 
 def window_means(T: float, window_len: float, max_freq: float,

@@ -359,19 +359,17 @@ def limit_transport_upwind(cfg):
     meshp = limit_transport._BedMesh(cfg, "plus")
     meshm = limit_transport._BedMesh(cfg, "minus")
     rows, cols, vals = [], [], []
-    for mesh in (meshp, meshm):
-        if mesh.velocity is not None:
+    for mesh, field in ((meshp, cfg.vel_plus), (meshm, cfg.vel_minus)):
+        if field is not None:
             for axis in range(3):
                 mids, area, _ = mesh.faces(axis)
-                v = limit_transport._velocity(mesh.velocity,
-                                              f"vel_{mesh.side}", axis, mids)
+                v = field(*np.meshgrid(*mids, indexing="ij"))[axis]
                 upwind(rows, cols, vals, *axis_neighbours(mesh.index, axis),
                        (v * area).ravel())
     if cfg.surface_velocity is not None:
         for axis in range(2):
             mids, length, _ = meshp.faces(axis, dims=2)
-            v = limit_transport._velocity(cfg.surface_velocity,
-                                          "surface_velocity", axis, mids)
+            v = cfg.surface_velocity(*np.meshgrid(*mids, indexing="ij"))[axis]
             upwind(rows, cols, vals,
                    *axis_neighbours(meshp.index[:, :, 0], axis),
                    (cfg.surface_scale * v * length).ravel())
@@ -415,7 +413,8 @@ def limit_transport_splu(cfg, surface_source=None, surface_source_minus=None):
     u, residual = solve_sparse(*pin_rows(A, b, fixed, data))
     return limit_transport.TransportSolution(
         config=cfg, u_plus=u[meshp.index], u_minus=u[meshm.index],
-        residual=residual, route="splu", iterations=0)
+        residual=residual, route="splu", iterations=0,
+        face_velocities=limit_transport._face_velocities(cfg, meshp, meshm))
 
 
 def poisson_cell_splu(n):

@@ -2,6 +2,7 @@
 interface exchange behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -390,6 +391,49 @@ def test_krylov_route_repeats_exactly():
     assert np.array_equal(first.u_minus, again.u_minus)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4], ids=["krylov", "splu"])
+def test_each_field_is_called_once_per_face_grid(scale):
+    """A solve samples each bed field on its three face grids and the
+    surface field on its two edge grids, once each; the balance check
+    reads those samples and calls no field."""
+    calls = dict.fromkeys(("vel_plus", "vel_minus", "surface_velocity"), 0)
+
+    def counting(name, field):
+        def wrapper(*coords):
+            calls[name] += 1
+            return field(*coords)
+        return wrapper
+
+    fields = {name: counting(name, field)
+              for name, field in _varying_fields(scale).items()}
+    sources = _surface_sources()
+    sol = solve_limit_transport(_uniform_case(**fields), *sources)
+    assert sol.route == ("krylov" if scale == 1.0 else "splu")
+    want = {"vel_plus": 3, "vel_minus": 3, "surface_velocity": 2}
+    assert calls == want
+    assert mass_balance_gap(sol, *sources) < 1e-12
+    assert calls == want
+    assert solve_limit_transport(_uniform_case()).face_velocities == {}
+
+
+@pytest.mark.parametrize("name,axis", [("vel_plus", 0), ("vel_plus", 2),
+                                       ("vel_minus", 1),
+                                       ("surface_velocity", 0)])
+def test_balance_check_sees_a_changed_face_velocity(name, axis):
+    """The balance check re-walks the divergence with the velocities the
+    solve used: one changed face value must break it."""
+    sources = _surface_sources()
+    sol = solve_limit_transport(_uniform_case(**_varying_fields()),
+                                *sources)
+    assert mass_balance_gap(sol, *sources) < 1e-12
+    normal = list(sol.face_velocities[name])
+    normal[axis] = normal[axis].copy()
+    normal[axis][tuple(m // 2 for m in normal[axis].shape)] += 0.5
+    changed = replace(sol, face_velocities=dict(sol.face_velocities,
+                                                **{name: tuple(normal)}))
+    assert mass_balance_gap(changed, *sources) > 1e-8
+
+
 def test_every_route_assembles_the_system_once(monkeypatch):
     """One set of factors per solve; only the non-separable routes write
     the diagonal form of A, once."""
@@ -439,6 +483,7 @@ def test_kronecker_sum_matches_face_assembly(fields):
     cfg = _uniform_case(**fields)
     op, _, _, _, meshp, meshm = limit_transport._assemble_system(
         cfg, *_surface_sources())
+    velocities = limit_transport._face_velocities(cfg, meshp, meshm)
     got = kronecker_sum(op)
     want = limit_transport_coo(cfg)
     assert got.nnz == want.nnz
@@ -447,7 +492,8 @@ def test_kronecker_sum_matches_face_assembly(fields):
     assert np.max(np.abs(got.data - want.data)) <= 1e-15 * np.max(
         np.abs(want.data))
     if fields:
-        got = limit_transport._diagonal_form(cfg, op, meshp, meshm)
+        got = limit_transport._diagonal_form(cfg, op, meshp, meshm,
+                                             velocities)
         assert got.format == "dia" and got.offsets.size == 7
         want = (want + limit_transport_upwind(cfg)).toarray()
         assert np.max(np.abs(got.toarray() - want)) <= 1e-15 * np.max(
