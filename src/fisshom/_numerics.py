@@ -12,9 +12,11 @@ They apply it in tensor form, each by its nonzero diagonals (`bands`), and
 give its largest entry.  They also give the tridiagonal column systems of
 the mode-by-mode solve (the fast diagonalization method of Lynch, Rice &
 Thomas 1964): SuperLU factors them in natural order, without fill
-(`solve_separable`), or one batched LU factors them all together
-(`separable_inverse`).  The tests keep the Kronecker sum of the factors and
-the face-by-face COO assemblies of both bed matrices as their references.
+(`solve_separable`), or one batched LU factors them all together and
+dense orthonormal transform matrices replace the FFTs
+(`separable_inverse`).  The tests keep the Kronecker sum of the factors
+and the face-by-face COO assemblies of both bed matrices as their
+references.
 
 Non-separable systems go to a small restarted GMRES (`gmres`,
 right-preconditioned, CGS2 Arnoldi with Givens rotations), which accepts a
@@ -415,41 +417,53 @@ def solve_separable(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
     return x, residual
 
 
+def transform_matrix(m: int, basis: str) -> np.ndarray:
+    """The orthonormal 1-D transform of `basis` on m points as a dense
+    matrix T: T @ x transforms x along axis 0, and T.T inverts it."""
+    forward, _, kind, _ = _BASES[basis]
+    return forward(np.eye(m), type=kind, axes=(0,), norm="ortho")
+
+
 def separable_inverse(C: np.ndarray, h1: np.ndarray, h2: np.ndarray,
                       shape: tuple[int, int, int], basis: str):
     """The inverse of the separable operator of `solve_separable` on
     unknowns of `shape`, as a function of a flat right-hand side: an
-    iterative solver's preconditioner.  One batched LU without pivoting
-    factors all mode blocks C + diag(mu1 h1 + mu2 h2) once, a step per row
-    of C vectorized over the modes; each call transforms, eliminates and
-    back-substitutes the same way, and transforms back.  Raises ValueError
-    unless C is tridiagonal and every pivot is positive and finite, as the
-    M-matrix sign pattern of the bed operators ensures."""
-    forward, inverse, kind, _ = _BASES[basis]
+    iterative solver's preconditioner.  Set-up factors all mode blocks
+    C + diag(mu1 h1 + mu2 h2) by one batched LU without pivoting, vectorized
+    over the modes, and writes both horizontal transforms as dense matrices
+    (`transform_matrix`).  Each call transforms by matrix products, sweeps
+    in place with reciprocal pivots and transforms back; no FFT runs.
+    Raises ValueError unless C is tridiagonal and every pivot is positive
+    and finite, as the M-matrix sign pattern of the bed operators ensures."""
+    m1, m2, nz = shape
     if np.any(np.triu(C, 2)) or np.any(np.tril(C, -2)):
         raise ValueError("column operator is not tridiagonal")
     lower, upper = np.diagonal(C, -1), np.diagonal(C, 1)
-    pivots = np.diagonal(C)[:, None] + _mode_shift(h1, h2, *shape[:2],
-                                                   basis).T
+    pivots = np.diagonal(C)[:, None] + _mode_shift(h1, h2, m1, m2, basis).T
     mults = np.zeros_like(pivots)
-    for k in range(len(pivots)):
-        if k:
+    with np.errstate(all="ignore"):
+        for k in range(1, nz):
             mults[k] = lower[k - 1] / pivots[k - 1]
             pivots[k] -= mults[k] * upper[k - 1]
-        # written so that NaN fails: it compares False with any bound
-        if not np.all((pivots[k] > 0.0) & (pivots[k] < np.inf)):
-            raise ValueError(f"mode pivot {k} is not positive and finite")
+    # NaN compares False with any bound; no row depends on a later pivot
+    bad = ~np.all((pivots > 0.0) & (pivots < np.inf), axis=1)
+    if np.any(bad):
+        raise ValueError(f"mode pivot {np.argmax(bad)} is not positive "
+                         "and finite")
+    inv = 1.0 / pivots
+    T1, T2 = transform_matrix(m1, basis), transform_matrix(m2, basis)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        z = forward(r.reshape(shape), type=kind, axes=(0, 1),
-                    norm="ortho").reshape(-1, shape[2]).T.copy()
-        for k in range(1, len(z)):
+        t = (T1 @ r.reshape(m1, m2 * nz)).reshape(m1, m2, nz)
+        z = np.matmul(T2, t).reshape(m1 * m2, nz).T.copy()
+        for k in range(1, nz):
             z[k] -= mults[k] * z[k - 1]
-        z[-1] /= pivots[-1]
-        for k in range(len(z) - 2, -1, -1):
-            z[k] = (z[k] - upper[k] * z[k + 1]) / pivots[k]
-        return inverse(z.T.reshape(shape), type=kind, axes=(0, 1),
-                       norm="ortho").ravel()
+        z[-1] *= inv[-1]
+        for k in range(nz - 2, -1, -1):
+            z[k] -= upper[k] * z[k + 1]
+            z[k] *= inv[k]
+        t = np.matmul(T2.T, z.T.reshape(m1, m2, nz))
+        return (T1.T @ t.reshape(m1, m2 * nz)).ravel()
 
     return apply
 

@@ -35,14 +35,15 @@ makes A non-separable.  Each velocity field is then called once on each of
 its face grids; A is written once, straight into the data of its seven
 diagonals at the grid offsets 0, +-1, +-nz and +-(n2 + 1) nz, and the
 restarted GMRES of `_numerics.gmres` solves the interior with its product,
-right-preconditioned by the separable inverse of S
-(`_numerics.separable_inverse`; Concus & Golub 1973).  Where GMRES does
-not converge within its fixed iteration cap, as at very high Peclet
-numbers, the Dirichlet-pinned A goes to SuperLU.  Every route measures the
-residual of that pinned system, and the solution records the route, its
-GMRES iterations and the face velocities, which the balance check reads
-instead of calling the fields again.  The tests keep the face-by-face
-assemblies of S and U as their independent references.
+right-preconditioned by the separable inverse of S, which applies its sine
+transforms as dense matrices (`_numerics.separable_inverse`; Concus &
+Golub 1973).  Where GMRES does not converge within its fixed iteration
+cap, as at very high Peclet numbers, the Dirichlet-pinned A goes to
+SuperLU.  Every route measures the residual of that pinned system, and
+the solution records the route, its GMRES iterations and the face
+velocities, which the balance check reads instead of calling the fields
+again.  The tests keep the face-by-face assemblies of S and U as their
+independent references.
 
 Volumetric and surface sources are solver features (wells, tracers); tests
 also use them to carry manufactured solutions.

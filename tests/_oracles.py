@@ -27,7 +27,9 @@ position in the order they append them.
 The SuperLU torsion solve is likewise the reference of the sine-transform
 route in `fisshom.cell.solve_poisson_cell`.  The Kronecker form of the mode
 matrix is the reference of its direct block-diagonal build in
-`fisshom._numerics`.
+`fisshom._numerics`.  The FFT form of the batched mode solve is the
+reference of `fisshom._numerics.separable_inverse`, which transforms by
+dense matrices.
 """
 
 import math
@@ -36,9 +38,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from fisshom import limit_flow, limit_transport
-from fisshom._numerics import (axis_halves, fsum, gauss_legendre,
-                               mode_eigenvalues, panel_quadrature, pin_rows,
-                               solve_sparse)
+from fisshom._numerics import (_BASES, _mode_shift, axis_halves, fsum,
+                               gauss_legendre, mode_eigenvalues,
+                               panel_quadrature, pin_rows, solve_sparse)
 from fisshom.fissures import Fissure, HalfPaths, certified_offsets
 
 # integral of the unit-load Dirichlet solution on the unit square
@@ -444,3 +446,34 @@ def mode_matrix_kron(C, h1, h2, m1, m2, basis):
              + mode_eigenvalues(m2, basis)[None, :, None] * h2)
     return (sp.kron(sp.identity(m1 * m2), sp.csr_matrix(C), format="csr")
             + sp.diags(shift.ravel())).tocsc()
+
+
+def separable_inverse_fft(C, h1, h2, shape, basis):
+    """The batched mode solve of `separable_inverse` with scipy's FFTs:
+    the same LU of the mode blocks, checked row by row, and an apply that
+    transforms both horizontal axes with `fft`, eliminates, back-substitutes
+    by division, and transforms back."""
+    forward, inverse, kind, _ = _BASES[basis]
+    lower, upper = np.diagonal(C, -1), np.diagonal(C, 1)
+    pivots = np.diagonal(C)[:, None] + _mode_shift(h1, h2, *shape[:2],
+                                                   basis).T
+    mults = np.zeros_like(pivots)
+    for k in range(len(pivots)):
+        if k:
+            mults[k] = lower[k - 1] / pivots[k - 1]
+            pivots[k] -= mults[k] * upper[k - 1]
+        if not np.all((pivots[k] > 0.0) & (pivots[k] < np.inf)):
+            raise ValueError(f"mode pivot {k} is not positive and finite")
+
+    def apply(r):
+        z = forward(r.reshape(shape), type=kind, axes=(0, 1),
+                    norm="ortho").reshape(-1, shape[2]).T.copy()
+        for k in range(1, len(z)):
+            z[k] -= mults[k] * z[k - 1]
+        z[-1] /= pivots[-1]
+        for k in range(len(z) - 2, -1, -1):
+            z[k] = (z[k] - upper[k] * z[k + 1]) / pivots[k]
+        return inverse(z.T.reshape(shape), type=kind, axes=(0, 1),
+                       norm="ortho").ravel()
+
+    return apply

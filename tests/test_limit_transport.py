@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft
 
-from fisshom import limit_transport
+from fisshom import _numerics, limit_transport
 from fisshom._numerics import (_mode_matrix, fit_loglog_slope,
                                separable_factors, separable_inverse,
-                               solve_separable)
+                               solve_separable, transform_matrix)
 from fisshom.fissure_transport import transmission_coeffs
 from fisshom.limit_flow import FlowConfig
 from fisshom.limit_transport import (
@@ -21,7 +22,8 @@ from fisshom.limit_transport import (
 from fisshom.stochastic import constant_stats
 
 from _oracles import (kronecker_sum, limit_transport_coo, limit_transport_splu,
-                      limit_transport_upwind, mode_matrix_kron)
+                      limit_transport_upwind, mode_matrix_kron,
+                      separable_inverse_fft)
 
 STATS = constant_stats(0.5)
 LAYER = dict(height=0.8, mean_qq=0.25, mean_inv_qq=4.2)
@@ -364,6 +366,12 @@ _CONSTANT_FIELDS = {
 }
 
 
+# GMRES iterations per case with the exact separable preconditioner: a
+# wrong one that still contracts would converge, and show only here
+_ITERATIONS = {"vel_plus": 8, "vel_minus": 8, "surface_velocity": 7,
+               "varying": 12}
+
+
 @pytest.mark.parametrize("velocity", ["vel_plus", "vel_minus",
                                       "surface_velocity", "varying"])
 def test_any_velocity_takes_the_general_route(velocity):
@@ -374,7 +382,8 @@ def test_any_velocity_takes_the_general_route(velocity):
     top, bottom = _surface_sources()
     sol = solve_limit_transport(cfg, top, bottom)
     ref = limit_transport_splu(cfg, top, bottom)
-    assert sol.route == "krylov" and 0 < sol.iterations
+    assert sol.route == "krylov"
+    assert 0 < sol.iterations <= _ITERATIONS[velocity]
     for got, want in ((sol.u_plus, ref.u_plus), (sol.u_minus, ref.u_minus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * (
             1.0 + np.max(np.abs(want)))
@@ -523,21 +532,64 @@ def test_mode_matrix_is_the_kronecker_form():
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
+def _transport_modes(shape, v3=0.3):
+    """The preconditioner's (C, h1, h2) of `_uniform_case` at `shape`, and
+    the shape of its interior unknowns."""
+    cfg = _uniform_case(exchange=exchange(reaction=0.4, v3=v3,
+                                          diffusion=0.8), shape=shape)
+    op = limit_transport._assemble_system(cfg, None, None)[0]
+    return (separable_factors(op, slice(1, -1)),
+            tuple(m - 2 for m in op.shape))
+
+
 @pytest.mark.parametrize("v3", [-1.5, 0.0, 1.5])
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_batched_tridiagonal_factor_matches_splu(n, v3):
     """The preconditioner's banded factor of the transport modes against
     the SuperLU solve of the mode matrix."""
-    cfg = _uniform_case(exchange=exchange(reaction=0.4, v3=v3,
-                                          diffusion=0.8), shape=(n,) * 4)
-    op = limit_transport._assemble_system(cfg, None, None)[0]
-    modes = separable_factors(op, slice(1, -1))
-    shape = tuple(m - 2 for m in op.shape)
+    modes, shape = _transport_modes((n,) * 4, v3)
     r = np.random.default_rng(n).standard_normal(shape)
     got = separable_inverse(*modes, shape, "dst1")(r.ravel())
     want, _ = solve_separable(*modes, r, "dst1")
     assert np.max(np.abs(got - want.ravel())) <= 1e-12 * (
         1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", [(8,) * 4, (16,) * 4, (24,) * 4,
+                                   (9, 6, 7, 4)],
+                         ids=["n8", "n16", "n24", "9x6x7x4"])
+def test_dense_apply_matches_fft_apply(shape):
+    """The dense-matrix apply against its FFT form, also on an interior
+    with m1 != m2 and odd nz (here (8, 5, 11)), where swapping the two
+    axes' matrices would show."""
+    modes, interior = _transport_modes(shape)
+    r = np.random.default_rng(sum(shape)).standard_normal(interior).ravel()
+    got = separable_inverse(*modes, interior, "dst1")(r)
+    want = separable_inverse_fft(*modes, interior, "dst1")(r)
+    assert np.max(np.abs(got - want)) <= 1e-13 * (
+        1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 23])
+def test_transform_matrix_is_the_orthonormal_sine_transform(m):
+    T = transform_matrix(m, "dst1")
+    assert np.max(np.abs(T @ T.T - np.eye(m))) <= 1e-14
+    x = np.random.default_rng(m).standard_normal((m, 3))
+    want = fft.dstn(x, type=1, axes=(0,), norm="ortho")
+    assert np.max(np.abs(T @ x - want)) <= 1e-14
+
+
+def test_preconditioner_apply_runs_no_transform(monkeypatch):
+    modes, interior = _transport_modes((6,) * 4)
+    apply = separable_inverse(*modes, interior, "dst1")
+    r = np.random.default_rng(2).standard_normal(interior).ravel()
+    want = apply(r)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("transform called inside apply")
+
+    monkeypatch.setitem(_numerics._BASES, "dst1", (banned, banned, 1, 1))
+    assert np.array_equal(apply(r), want)
 
 
 def test_batched_tridiagonal_factor_rejects_bad_blocks():
