@@ -4,7 +4,7 @@ operators.
 
 Everything here is deliberately boring.  Deterministic seeding uses
 splitmix64 so that per-index draws are stateless and identical across
-platforms and vectorization widths.
+platforms and vectorization widths; scalar keys mix in Python integers.
 
 A bed operator on a horizontally uniform tensor grid, whose column axis
 stacks both beds, is described once by its 1-D factors (`TensorOperator`).
@@ -21,7 +21,9 @@ references.
 Non-separable systems go to a small restarted GMRES (`gmres`,
 right-preconditioned, CGS2 Arnoldi with Givens rotations), which accepts a
 solution only on its true residual; SuperLU (`solve_sparse`) remains the
-direct fallback.  `fsum` sums exactly with bounded memory.
+direct fallback.  `fsum` sums exactly with bounded memory; `row_fsums`
+gives `math.fsum` of each row of an array to the bit, by a certified
+double-double sum, and calls `math.fsum` only for rows it cannot settle.
 """
 
 from __future__ import annotations
@@ -49,22 +51,38 @@ def _splitmix64(state: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _splitmix64_int(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & _U64_MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+    return z ^ (z >> 31)
+
+
 def hash_u64(*keys: int | np.ndarray) -> np.ndarray | np.uint64:
-    """Stateless hash of an integer key tuple to uint64.
+    """Stateless hash of an integer key tuple to uint64 (splitmix64).
 
     Arrays broadcast; negative integers are zigzag-encoded first so that
-    indices from a doubly infinite lattice hash distinctly.
+    indices from a doubly infinite lattice hash distinctly.  Scalar keys up
+    to the first array are mixed in Python integers, the rest in numpy, to
+    the same bits; all-scalar keys (0-d arrays too) give an `np.uint64`.
     """
+    acc = 0x8000000000000000
+    for i, k in enumerate(keys):
+        if not (type(k) is int and -(1 << 63) <= k < 1 << 64 or isinstance(
+                k, np.integer) or isinstance(k, np.ndarray) and k.ndim == 0
+                and k.dtype.kind in "iu"):
+            break
+        s = (int(k) + (1 << 63)) % (1 << 64) - (1 << 63)  # as int64 wraps
+        acc = _splitmix64_int(acc ^ (s << 1) ^ (s >> 63))
+    else:
+        return np.uint64(acc)
     with np.errstate(over="ignore"):
-        acc = np.uint64(0x8000000000000000)
-        for k in keys:
+        for k in keys[i:]:
             a = np.asarray(k)
-            if a.dtype.kind in "iu":
-                signed = a.astype(np.int64)
-            else:
+            if a.dtype.kind not in "iu":
                 raise TypeError("hash keys must be integers")
-            zig = np.where(signed >= 0, 2 * signed, -2 * signed - 1).astype(np.uint64)
-            acc = _splitmix64(acc ^ zig)
+            s = a.astype(np.int64)
+            acc = _splitmix64(acc ^ ((s << 1) ^ (s >> 63)).astype(np.uint64))
         return acc
 
 
@@ -125,6 +143,52 @@ def fsum(values) -> float:
     return math.fsum(itertools.chain.from_iterable(
         flat[i:i + _FSUM_CHUNK].tolist()
         for i in range(0, flat.size, _FSUM_CHUNK)))
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def row_fsums(x) -> np.ndarray:
+    """`math.fsum` of each row of a 2-D array, bit for bit, vectorized.
+
+    n columns are summed pairwise in double-double, TwoSum at every merge
+    (`+` and `-` only); an odd column waits for the end.  A term passes
+    fewer than d = 2 bit_length(n) merges, each erring by at most about
+    3 2^-106 times its inputs' magnitude, so hi + lo is within
+    8 (d + 1) 2^-106 sum|x| of the row's sum.  hi is its rounding if |lo|
+    plus that bound is below half the gap to the next float (a quarter at a
+    power of two); other rows (near-ties; zero, tiny, huge or non-finite
+    sums) go to `math.fsum`, which keeps its signed zeros and its errors.
+    """
+    x = np.asarray(x, dtype=float)
+    if not (n := x.shape[1]):
+        return np.zeros(len(x))
+    # columns as contiguous rows, so that each merge adds contiguous halves
+    hi, lo, spare = np.ascontiguousarray(x.T), None, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(hi) > 1:
+            h = len(hi) // 2
+            if len(hi) % 2:
+                spare.append((hi[-1], 0.0 if lo is None else lo[-1]))
+            s, e = _two_sum(hi[:h], hi[h:2 * h])
+            # double-double: add the low parts to the error, renormalize
+            hi, lo = (s, e) if lo is None else _two_sum(
+                s, e + (lo[:h] + lo[h:2 * h]))
+        hi, lo = hi[0], 0.0 if lo is None else lo[0]
+        for spare_hi, spare_lo in spare:
+            s, e = _two_sum(hi, spare_hi)
+            hi, lo = _two_sum(s, e + (lo + spare_lo))
+        bound = (16 * n.bit_length() + 8) * 2.0**-106 * np.abs(x).sum(1)
+        mag = np.abs(hi)
+        gap = np.spacing(mag) * np.where(np.frexp(mag)[0] == 0.5, 0.25, 0.5)
+        ok = (abs(lo) + bound < gap) & (mag >= 2.0**-900) & (mag <= 2.0**1000)
+    out = np.where(ok, hi, 0.0)
+    for i in np.flatnonzero(~ok):
+        out[i] = math.fsum(x[i].tolist())
+    return out
 
 
 def max_or_nan(values, default: float = -math.inf) -> float:

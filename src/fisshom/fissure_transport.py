@@ -27,6 +27,7 @@ route, which is exact for every v3, covers the drifted case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,17 +92,23 @@ def pair_brackets(cfg: FissureODEConfig, T: float = 2.0e3) -> PairBrackets:
                         mean_inv_qq=fsum(mi) / len(mi))
 
 
-def _grid(cfg: FissureODEConfig) -> np.ndarray:
-    """Uniform depth grid, 400 nodes per stretched period of the faster
-    aperture, at least 800 intervals and an even count (Simpson's rule)."""
+def _grid(cfg: FissureODEConfig) -> tuple[np.ndarray, _CumulativeSimpson]:
+    """Uniform depth grid (400 nodes per stretched period of the faster
+    aperture, at least 800 intervals, an even count) and its Simpson rule."""
     geo = cfg.fissure.geometry
     rate = max(cfg.fissure.line_x1.q.max_frequency,
                cfg.fissure.line_x2.q.max_frequency) \
         * geo.epsilon ** (-geo.theta)
     n = max(800, int(math.ceil(400.0 * geo.height * rate / (2.0 * math.pi))))
-    if n % 2 == 1:
-        n += 1
-    return np.linspace(-geo.height, 0.0, n + 1)
+    return _grid_rule(geo.height, n + n % 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_rule(height: float, n: int) -> tuple[np.ndarray, _CumulativeSimpson]:
+    """n intervals on [-height, 0] and their Simpson weights, formed once."""
+    x = np.linspace(-height, 0.0, n + 1)
+    x.flags.writeable = False  # shared between callers
+    return x, _CumulativeSimpson(x)
 
 
 @dataclass
@@ -179,13 +186,14 @@ class _CumulativeSimpson:
         return F - F[..., -1:]
 
 
-def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
+def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray,
+                    simpson: _CumulativeSimpson, qq: np.ndarray,
                     homogeneous: tuple[bool, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows w (homogeneous true) or z on one grid, F and G.  A row is left
     alone once its own test holds: its iterates are a lone solve's."""
     D, R, v = cfg.diffusion, cfg.reaction, cfg.v3
-    integral = _CumulativeSimpson(x).from_zero
+    integral = simpson.from_zero
     F = qq * np.exp(x * v / D)
     G = integral(np.exp(-x * v / D) / qq)
     hom = np.array(homogeneous)[:, None]
@@ -196,12 +204,12 @@ def _solve_volterra(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
     for it in range(1, 201):
         if not active.size:
             break
-        Fu = F * u[active]
-        u_new = base[active] + (R / D) * (G * integral(Fu)
-                                          - integral(Fu * G))
-        delta = np.max(np.abs(u_new - u[active]), axis=-1)
-        u[active] = u_new
-        iterations[active] = it
+        rows = slice(None) if active.size == len(u) else active  # no copies
+        Fu = F * (u_old := u[rows])
+        u_new = base[rows] + (R / D) * (G * integral(Fu) - integral(Fu * G))
+        delta = np.max(np.abs(u_new - u_old), axis=-1)
+        u[rows] = u_new
+        iterations[rows] = it
         # a NaN delta keeps its row active, so it cannot pass as converged
         active = active[~(delta <= 1e-13 * (np.max(np.abs(u_new), axis=-1)
                                             + 1.0))]
@@ -246,10 +254,10 @@ def _solve_rk4(cfg: FissureODEConfig, x: np.ndarray, qq: np.ndarray,
 def _solve(cfg: FissureODEConfig, homogeneous: tuple[bool, ...],
            method: str = "volterra") -> list[FissureODESolution]:
     """w where homogeneous is true, z where not, on the tube's grid."""
-    x = _grid(cfg)
+    x, simpson = _grid(cfg)
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
     if method == "volterra":
-        u, flux, iters = _solve_volterra(cfg, x, qq, homogeneous)
+        u, flux, iters = _solve_volterra(cfg, x, simpson, qq, homogeneous)
     elif method == "rk4":
         x_mid = 0.5 * (x[1:] + x[:-1])
         qq_mid = np.asarray(tube_weight(cfg, x_mid), dtype=float)
@@ -394,11 +402,11 @@ def build_profile(cfg: FissureODEConfig, u_plus: float, u_minus: float,
         raise ValueError("kind must be 'advective' or 'reactive'")
     if cfg.reaction != 0.0:
         raise ValueError("profile kind 'advective' requires zero reaction")
-    x = _grid(cfg)
+    x, simpson = _grid(cfg)
     qq = np.asarray(tube_weight(cfg, x), dtype=float)
     weight = np.exp(-x * v / D) / qq
     # N(x) = int_x^0 weight = -int_0^x weight
-    N = -_CumulativeSimpson(x).from_zero(weight)
+    N = -simpson.from_zero(weight)
     Nb = float(N[0])
     values = u_plus + (u_minus - u_plus) * N / Nb
     # u' = -(u_minus - u_plus) * weight / Nb; diffusive flux D qq u'

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numerics import fsum, panel_quadrature, uniform_from_hash
+from ._numerics import fsum, panel_quadrature, row_fsums, uniform_from_hash
 
 _KINDS = ("aperture_q", "centerline_r", "constant", "shot_noise")
 
@@ -388,7 +388,7 @@ class ErgodicStats:
 # Window length of the path averages, in path time.
 WINDOW_LEN = 25.0
 # quadrature nodes sampled per call of `window_means`' callback; it bounds
-# the memory of a block's samples and of the Python rows `math.fsum` sums
+# the memory of a block's samples and of their exact row sums
 _WINDOW_BLOCK_NODES = 1 << 14
 
 
@@ -410,22 +410,19 @@ def window_means(T: float, window_len: float, max_freq: float,
     edges = np.linspace(-T, T, W + 1)
     panels = max(4, int(math.ceil((edges[1] - edges[0]) * max_freq
                                   / math.pi)))
-    lengths = (edges[1:] - edges[:-1]).tolist()
+    lengths = edges[1:] - edges[:-1]
     block = max(1, _WINDOW_BLOCK_NODES // (6 * panels))
-    cols: list[list[float]] = []
+    means = []
     for lo in range(0, W, block):
         hi = min(W, lo + block)
         nodes, weights = panel_quadrature(edges[lo:hi], edges[lo + 1:hi + 1],
                                           panels, 6)
         samples = weighted(nodes.ravel(), weights.ravel())
-        if not cols:
-            cols = [[] for _ in samples]
-        # fsum is exactly rounded, so a window's mean does not depend on
-        # the order of its terms
-        for col, v in zip(cols, samples):
-            rows = np.reshape(v, nodes.shape).tolist()
-            col.extend(math.fsum(r) / L for r, L in zip(rows, lengths[lo:hi]))
-    return [np.array(col) for col in cols]
+        # one row per integrand and window; exact rounding makes a window's
+        # mean independent of the order of its terms
+        sums = row_fsums(np.reshape(samples, (-1, nodes.shape[-1])))
+        means.append(sums.reshape(len(samples), -1) / lengths[lo:hi])
+    return list(np.concatenate(means, axis=1))
 
 
 def estimate_brackets(q_path: StationaryPath, T: float,

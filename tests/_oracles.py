@@ -12,9 +12,12 @@ separately.  The lattice enumeration must reproduce them bit for bit; the
 line sums of the measure and energy sweeps reorder the per-tube sums, and
 must agree with them to 1e-14 relative.  The per-window loop is the same
 kind of reference for `fisshom.stochastic.window_means`, which samples all
-windows at once.  The matrix-vector form of the cosine series is the
-reference of `fisshom.stochastic.FourierPath`, which sums the modes one by
-one in a fixed order: the two agree to rounding.
+windows at once; it sums each window with the chunked `fsum`, not with the
+vectorized row sums.  The all-numpy splitmix64 hash is the reference of
+`fisshom._numerics.hash_u64`, which mixes scalar keys in Python integers.
+The matrix-vector form of the cosine series is the reference of
+`fisshom.stochastic.FourierPath`, which sums the modes one by one in a
+fixed order: the two agree to rounding.
 
 The SuperLU bed solves are the retained references of the separable
 (mode-by-mode) and Krylov routes in `fisshom.limit_flow` and
@@ -80,6 +83,32 @@ def eta0_series(x, y, terms: int = 200):
     M, N = np.meshgrid(m, m, indexing="ij")
     coef = np.multiply.outer(b, b) / (math.pi**2 * (M**2 + N**2))
     return np.einsum("...m,mn,...n->...", cx, coef, cy)
+
+
+# ---------------------------------------------------------------------------
+# all-numpy reference of the seeding hash
+
+
+def hash_u64_numpy(*keys):
+    """splitmix64 over the zigzagged keys, every key as a numpy array."""
+    def splitmix64(state):
+        z = (state + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    with np.errstate(over="ignore"):
+        acc = np.uint64(0x8000000000000000)
+        for k in keys:
+            a = np.asarray(k)
+            if a.dtype.kind in "iu":
+                signed = a.astype(np.int64)
+            else:
+                raise TypeError("hash keys must be integers")
+            zig = np.where(signed >= 0, 2 * signed,
+                           -2 * signed - 1).astype(np.uint64)
+            acc = splitmix64(acc ^ zig)
+        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -340,9 +340,8 @@ def test_simpson_weights_reproduce_scipy(eps):
     # every result must equal scipy's cumulative_simpson exactly
     cfg = FissureODEConfig(fissure=random_fissure(seed=3, eps=eps),
                            diffusion=0.9, reaction=1.3, v3=0.4)
-    x = fissure_transport._grid(cfg)
+    x, integrate = fissure_transport._grid(cfg)
     qq = tube_weight(cfg, x)
-    integrate = fissure_transport._CumulativeSimpson(x)
     rng = np.random.default_rng(11)
     for y in (qq, np.exp(-x * cfg.v3 / cfg.diffusion) / qq, np.zeros_like(x),
               rng.standard_normal(x.size)):
@@ -351,3 +350,15 @@ def test_simpson_weights_reproduce_scipy(eps):
         assert np.array_equal(integrate.from_zero(y), ref - ref[-1])
     with pytest.raises(ValueError, match="even number"):
         fissure_transport._CumulativeSimpson(x[1:])
+
+
+def test_grid_and_its_simpson_weights_are_built_once():
+    # every tube of one (height, intervals) grid shares them, so the grid
+    # is read-only
+    cfg = FissureODEConfig(fissure=random_fissure(seed=3, eps=0.02),
+                           diffusion=0.9, reaction=1.3, v3=0.4)
+    x, integrate = fissure_transport._grid(cfg)
+    again = fissure_transport._grid(cfg)
+    assert again[0] is x and again[1] is integrate
+    with pytest.raises(ValueError):
+        x[0] = 0.0
